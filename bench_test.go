@@ -389,10 +389,9 @@ func BenchmarkAskByDifficulty(b *testing.B) {
 
 // BenchmarkStreamingLimitedScan is the streaming-executor headline: a
 // label scan capped by LIMIT, where the pushed-down limit stops the
-// scan after k anchor candidates instead of materializing and
-// projecting every AS in the dataset. `scripts/bench_streaming.sh`
-// records both variants in BENCH_streaming.json to track the perf
-// trajectory across PRs.
+// scan after k anchor candidates instead of projecting every AS in the
+// dataset. `scripts/bench_streaming.sh` records it in
+// BENCH_streaming.json to track the perf trajectory across PRs.
 func BenchmarkStreamingLimitedScan(b *testing.B) {
 	sys, err := New(Options{Perfect: true})
 	if err != nil {
@@ -403,31 +402,20 @@ func BenchmarkStreamingLimitedScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		opts cypher.Options
-	}{
-		{"streaming", cypher.Options{}},
-		{"materialized", cypher.Options{DisableStreaming: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := pq.Execute(g, nil, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 5 {
-					b.Fatal("unexpected result")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := pq.Execute(g, nil, cypher.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 5 {
+			b.Fatal("unexpected result")
+		}
 	}
 }
 
-// BenchmarkStreamingTopK compares the bounded top-k heap against
-// full-sort-then-slice for ORDER BY ... LIMIT over the prefix table
-// (the dataset's largest label).
+// BenchmarkStreamingTopK times the bounded top-k heap for ORDER BY ...
+// LIMIT over the prefix table (the dataset's largest label).
 func BenchmarkStreamingTopK(b *testing.B) {
 	sys, err := New(Options{Perfect: true})
 	if err != nil {
@@ -438,24 +426,14 @@ func BenchmarkStreamingTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		opts cypher.Options
-	}{
-		{"streaming", cypher.Options{}},
-		{"materialized", cypher.Options{DisableStreaming: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := pq.Execute(g, nil, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 10 {
-					b.Fatal("unexpected result")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := pq.Execute(g, nil, cypher.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			b.Fatal("unexpected result")
+		}
 	}
 }

@@ -216,7 +216,7 @@ func (s *System) AskBatch(ctx context.Context, questions []string, workers int) 
 // Query executes raw Cypher against the knowledge graph. Queries run
 // through the prepared-query plan cache: repeated shapes parse once.
 func (s *System) Query(query string, params map[string]any) (*Result, error) {
-	return s.pipeline.Query(query, params)
+	return s.pipeline.QueryContext(context.Background(), query, params)
 }
 
 // QueryContext executes raw Cypher under a cancellation context: when

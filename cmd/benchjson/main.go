@@ -4,9 +4,6 @@
 // writes BENCH_streaming.json).
 //
 //	go test -run NONE -bench 'BenchmarkStreaming' . | go run ./cmd/benchjson
-//
-// For benchmark families with /streaming and /materialized variants,
-// the report also carries the materialized/streaming speedup factor.
 package main
 
 import (
@@ -82,8 +79,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	// Derive per-family speedups: materialized/streaming pairs,
-	// locked/view pairs (the lock-free snapshot read path), and
+	// Derive per-family speedups: locked/view pairs (the lock-free snapshot read path), and
 	// goroutine-scaling factors (1 → 8 workers, same fixed work unit).
 	byName := map[string]float64{}
 	for _, r := range rep.Results {
@@ -98,11 +94,6 @@ func main() {
 	for name, ns := range byName {
 		if ns == 0 {
 			continue
-		}
-		if base, ok := strings.CutSuffix(name, "/streaming"); ok {
-			if mat, ok := byName[base+"/materialized"]; ok {
-				addSpeedup(strings.TrimPrefix(base, "Benchmark"), mat/ns)
-			}
 		}
 		if base, ok := strings.CutSuffix(name, "/view"); ok {
 			if locked, ok := byName[base+"/locked"]; ok {

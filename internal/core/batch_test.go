@@ -80,7 +80,7 @@ func TestQueryContextCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want cypher.ErrCanceled", err)
 	}
 	// The deprecated wrapper still executes (uncancelable).
-	res, err := p.Query("MATCH (a:AS) RETURN count(a)", nil)
+	res, err := p.QueryContext(context.Background(), "MATCH (a:AS) RETURN count(a)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

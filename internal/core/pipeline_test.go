@@ -259,7 +259,7 @@ func TestAnswerFromCypher(t *testing.T) {
 
 func TestQueryPassthrough(t *testing.T) {
 	p, _ := newTestPipeline(t, 0)
-	res, err := p.Query("MATCH (c:Country) RETURN count(c)", nil)
+	res, err := p.QueryContext(context.Background(), "MATCH (c:Country) RETURN count(c)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestQueryPassthrough(t *testing.T) {
 
 func TestFormatRows(t *testing.T) {
 	p, _ := newTestPipeline(t, 0)
-	res, err := p.Query("MATCH (a:AS) RETURN a.asn ORDER BY a.asn LIMIT 20", nil)
+	res, err := p.QueryContext(context.Background(), "MATCH (a:AS) RETURN a.asn ORDER BY a.asn LIMIT 20", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestFormatRows(t *testing.T) {
 	if !strings.Contains(recs[5], "more rows") {
 		t.Errorf("missing overflow summary: %q", recs[5])
 	}
-	res2, _ := p.Query("MATCH (a:AS) RETURN a.asn AS asn, a.name AS name ORDER BY a.asn LIMIT 1", nil)
+	res2, _ := p.QueryContext(context.Background(), "MATCH (a:AS) RETURN a.asn AS asn, a.name AS name ORDER BY a.asn LIMIT 1", nil)
 	recs2 := FormatRows(res2, 5)
 	if len(recs2) != 1 || !strings.Contains(recs2[0], "asn: ") || !strings.Contains(recs2[0], "name: ") {
 		t.Errorf("multi-column record = %v", recs2)
@@ -437,7 +437,7 @@ func TestQueryUsesPlanCache(t *testing.T) {
 	asn := w.ASes[0].ASN
 	src := "MATCH (a:AS) WHERE a.asn = $n RETURN a.asn"
 	for i := 0; i < 5; i++ {
-		res, err := p.Query(src, map[string]any{"n": asn})
+		res, err := p.QueryContext(context.Background(), src, map[string]any{"n": asn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +465,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Query("RETURN 1", nil); err != nil {
+	if _, err := p.QueryContext(context.Background(), "RETURN 1", nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := p.PlanCacheStats(); s != (cypher.PlanCacheStats{}) {
@@ -513,15 +513,15 @@ func TestPlanCacheSurvivesGraphWrites(t *testing.T) {
 	p, w := newTestPipeline(t, 0)
 	asn := w.ASes[0].ASN
 	read := "MATCH (a:AS) WHERE a.asn = $n RETURN a.asn"
-	if _, err := p.Query(read, map[string]any{"n": asn}); err != nil {
+	if _, err := p.QueryContext(context.Background(), read, map[string]any{"n": asn}); err != nil {
 		t.Fatal(err)
 	}
 	// A write through the same cache bumps the graph version; the read
 	// plan must be rebuilt, not served stale, and see the new data.
-	if _, err := p.Query("CREATE (a:AS {asn: 424242})", nil); err != nil {
+	if _, err := p.QueryContext(context.Background(), "CREATE (a:AS {asn: 424242})", nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Query(read, map[string]any{"n": 424242})
+	res, err := p.QueryContext(context.Background(), read, map[string]any{"n": 424242})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,9 @@ func slowFixture(t testing.TB, n int) *graph.Graph {
 	return g
 }
 
-// slowQuery is a three-way cross product with a blocking aggregate: on
-// the streaming path every row flows through match iterators into the
-// aggregate drain; on the materializing path each MATCH clause expands
-// the binding table. n=60 gives 216k rows — noticeable work, far below
-// MaxRows.
+// slowQuery is a three-way cross product with a blocking aggregate:
+// every row flows through match iterators into the aggregate drain.
+// n=60 gives 216k rows — noticeable work, far below MaxRows.
 const slowQuery = "MATCH (a:N) MATCH (b:N) MATCH (c:N) RETURN count(*)"
 
 func TestExecuteContextPreCanceled(t *testing.T) {
@@ -37,7 +35,6 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 		opts Options
 	}{
 		{"streaming", Options{}},
-		{"materialized", Options{DisableStreaming: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
@@ -59,7 +56,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 }
 
 // TestCancelMidScanAbortsEarly cancels a running scan and checks that
-// both executors stop within a small wall-clock bound — far less than
+// the executor stops within a small wall-clock bound — far less than
 // the uncancelled runtime — and report an error matching ErrCanceled.
 func TestCancelMidScanAbortsEarly(t *testing.T) {
 	g := slowFixture(t, 60)
@@ -68,7 +65,6 @@ func TestCancelMidScanAbortsEarly(t *testing.T) {
 		opts Options
 	}{
 		{"streaming", Options{}},
-		{"materialized", Options{DisableStreaming: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -91,6 +87,26 @@ func TestCancelMidScanAbortsEarly(t *testing.T) {
 	}
 }
 
+// TestCancelWriteQueryAppliesNoWrites cancels a write query while its
+// barrier drains the input: the query aborts with ErrCanceled before
+// the clause's first write.
+func TestCancelWriteQueryAppliesNoWrites(t *testing.T) {
+	g := slowFixture(t, 60)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(25 * time.Millisecond)
+		cancel()
+	}()
+	src := "MATCH (a:N) MATCH (b:N) MATCH (c:N) WITH a, b, c WHERE a.i + b.i + c.i < 0 CREATE (:Done)"
+	_, err := ExecuteWithContext(ctx, g, src, nil, Options{})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if n := len(g.NodesByLabel("Done")); n != 0 {
+		t.Fatalf("%d :Done nodes after cancel, want 0", n)
+	}
+}
+
 func TestDeadlineExceededDistinguishable(t *testing.T) {
 	g := slowFixture(t, 60)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -105,20 +121,6 @@ func TestDeadlineExceededDistinguishable(t *testing.T) {
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
 		t.Errorf("err = %T, want *CanceledError", err)
-	}
-}
-
-// TestStreamingMaterializingAgreeOnCancel pins the satellite contract:
-// both execution paths surface the same ErrCanceled identity for the
-// same canceled context.
-func TestStreamingMaterializingAgreeOnCancel(t *testing.T) {
-	g := slowFixture(t, 40)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, errStream := ExecuteWithContext(ctx, g, slowQuery, nil, Options{})
-	_, errMat := ExecuteWithContext(ctx, g, slowQuery, nil, Options{DisableStreaming: true})
-	if !errors.Is(errStream, ErrCanceled) || !errors.Is(errMat, ErrCanceled) {
-		t.Fatalf("streaming err = %v, materialized err = %v; want both ErrCanceled", errStream, errMat)
 	}
 }
 
@@ -235,11 +237,9 @@ func TestCancelInsideExpressionEval(t *testing.T) {
 		opts Options
 	}{
 		{"range", "RETURN range(0, 300000000) AS xs", Options{}},
-		{"range-materialized", "RETURN range(0, 300000000) AS xs", Options{DisableStreaming: true}},
 		{"comprehension", "WITH range(0, 5000000) AS xs RETURN [x IN xs WHERE x % 2 = 0 | x * 2] AS ys", Options{}},
 		{"quantifier", "WITH range(0, 5000000) AS xs RETURN all(x IN xs WHERE x >= 0) AS ok", Options{}},
 		{"unwind", "UNWIND range(0, 50000000) AS x RETURN count(x)", Options{}},
-		{"unwind-materialized", "UNWIND range(0, 50000000) AS x RETURN count(x)", Options{DisableStreaming: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -3,6 +3,7 @@ package cypher
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chatiyp/internal/graph"
@@ -471,6 +472,42 @@ func TestExecSetRemoveDelete(t *testing.T) {
 	res3 := run(t, g, "MATCH (a:AS) RETURN count(*)", nil)
 	if res3.Rows[0][0] != int64(2) {
 		t.Errorf("AS count after delete = %v", res3.Rows)
+	}
+}
+
+// TestExecDeleteListAppliesEntityRules pins DELETE over a list: each
+// element follows the single-entity rules — a node with relationships
+// needs DETACH, an entity already gone is skipped, and a non-entity
+// value cannot be deleted.
+func TestExecDeleteListAppliesEntityRules(t *testing.T) {
+	g := graph.New()
+	a := g.MustCreateNode([]string{"A"}, nil)
+	b := g.MustCreateNode([]string{"B"}, nil)
+	g.MustCreateRelationship(a.ID, b.ID, "R", nil)
+
+	single, err := Execute(g, "MATCH (a:A) DELETE a", nil)
+	if err == nil {
+		t.Fatalf("DELETE of a node with relationships succeeded: %+v", single.Stats)
+	}
+	if _, listErr := Execute(g, "MATCH (a:A) WITH collect(a) AS xs DELETE xs", nil); listErr == nil || listErr.Error() != err.Error() {
+		t.Fatalf("list DELETE err = %v, want %v", listErr, err)
+	}
+	if g.Node(a.ID) == nil {
+		t.Fatal("a failed list DELETE removed the node")
+	}
+	for _, src := range []string{"DELETE [1, 2]", "WITH [null, 'x'] AS xs DELETE xs"} {
+		if _, err := Execute(g, src, nil); err == nil || !strings.Contains(err.Error(), "cannot DELETE") {
+			t.Fatalf("%s: err = %v, want cannot DELETE", src, err)
+		}
+	}
+	res := run(t, g, "MATCH (a:A) WITH collect(a) AS xs DETACH DELETE xs", nil)
+	if res.Stats.NodesDeleted != 1 || g.Node(a.ID) != nil {
+		t.Fatalf("DETACH DELETE over a list: stats %+v, node still there: %v", res.Stats, g.Node(a.ID) != nil)
+	}
+	// The second clause's list holds a node the first clause deleted.
+	res = run(t, g, "MATCH (b:B) DETACH DELETE b WITH b DELETE [b, null]", nil)
+	if res.Stats.NodesDeleted != 1 {
+		t.Fatalf("stats = %+v, want one node deleted", res.Stats)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Morsel-driven intra-query parallelism over the pinned snapshot.
 //
-// A streamable query's anchor scan is split into ID-range morsels of
+// A read-only query's anchor scan is split into ID-range morsels of
 // the candidate set, fanned out across a bounded worker pool, and
 // merged back at the sink. Each worker owns a private evalCtx but
 // shares the execution's immutable graph.View, so the scan is

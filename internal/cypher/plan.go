@@ -41,15 +41,19 @@ type queryPlan struct {
 	hints          map[*MatchClause]matchHints
 
 	// parts holds one operator pipeline per query part (the main query
-	// followed by its UNION parts); streamable reports whether every
-	// part built one, i.e. the whole query can run on the streaming
-	// executor. lastDedup is the index of the last part introduced by a
-	// plain (deduplicating) UNION, or -1: rows from parts up to and
-	// including it dedupe against everything seen so far, which is
-	// exactly what the materializing path's repeated dedup converges to.
-	parts      []*stagePlan
-	streamable bool
-	lastDedup  int
+	// followed by its UNION parts). lastDedup is the index of the last
+	// part introduced by a plain (deduplicating) UNION, or -1: rows from
+	// parts up to and including it dedupe against everything seen so
+	// far, which is exactly what deduplicating the concatenation after
+	// each plain UNION converges to. writes is the number of write
+	// barrier stages across all parts; a plan with writes reads the live
+	// graph and never runs in parallel. err is a static planning error
+	// (nothing to project, UNION column mismatch), reported before
+	// anything executes.
+	parts     []*stagePlan
+	lastDedup int
+	writes    int
+	err       error
 }
 
 // planQuery derives the full plan for a query (including UNION parts)
@@ -60,21 +64,44 @@ func planQuery(g *graph.Graph, q *Query, opts Options) *queryPlan {
 		version:        g.Version(),
 		disableIndexes: opts.DisableIndexes,
 		hints:          make(map[*MatchClause]matchHints),
+		lastDedup:      -1,
 	}
 	p.planInto(g, q, opts)
 
-	p.streamable = true
-	p.lastDedup = -1
 	for i, part := range append([]*Query{q}, unionQueries(q)...) {
-		sp := buildStages(part, p.hints, opts)
-		if sp == nil {
-			p.streamable = false
-			p.parts = nil
-			break
+		sp, err := buildStages(part, p.hints)
+		if err != nil {
+			p.err = err
+			return p
+		}
+		for s := sp.root; s != nil; s = s.input {
+			if s.kind == stageWrite {
+				p.writes++
+			}
 		}
 		p.parts = append(p.parts, sp)
 		if i > 0 && !q.Unions[i-1].All {
 			p.lastDedup = i
+		}
+	}
+	cols := p.parts[0].cols
+	for _, sp := range p.parts[1:] {
+		if len(sp.cols) != len(cols) {
+			p.err = evalErrorf("UNION requires the same number of columns (%d vs %d)",
+				len(cols), len(sp.cols))
+			return p
+		}
+		for i := range sp.cols {
+			if sp.cols[i] != cols[i] {
+				p.err = evalErrorf("UNION requires matching column names (%q vs %q)",
+					cols[i], sp.cols[i])
+				return p
+			}
+		}
+	}
+	if p.writes == 0 {
+		for _, sp := range p.parts {
+			sp.par = analyzeParallel(sp)
 		}
 	}
 	return p

@@ -48,9 +48,9 @@ func (pq *PreparedQuery) AST() *Query { return pq.query }
 func (pq *PreparedQuery) Replans() uint64 { return pq.replans.Load() }
 
 // Execute runs the prepared query against g. The plan — per-MATCH
-// index access paths plus the streaming executor's operator pipelines
-// — is built on first use and reused until the graph's version moves
-// or the index options change.
+// index access paths plus the executor's operator pipelines — is built
+// on first use and reused until the graph's version moves or the index
+// options change.
 func (pq *PreparedQuery) Execute(g *graph.Graph, params map[string]any, opts Options) (*Result, error) {
 	return pq.ExecuteContext(context.Background(), g, params, opts)
 }
@@ -65,8 +65,13 @@ func (pq *PreparedQuery) ExecuteContext(ctx context.Context, g *graph.Graph, par
 
 // Describe returns the EXPLAIN-style access plan this prepared query
 // would use against g — the same format as Explain, without re-parsing.
+// A query that fails to plan describes as its planning error.
 func (pq *PreparedQuery) Describe(g *graph.Graph, opts Options) string {
-	return describeAll(g, pq.query, opts)
+	s, err := describeAll(g, pq.query, opts)
+	if err != nil {
+		return err.Error() + "\n"
+	}
+	return s
 }
 
 // planFor returns the current plan for (g, opts), rebuilding it when

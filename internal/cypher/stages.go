@@ -5,18 +5,19 @@ import (
 	"sort"
 )
 
-// This file builds the logical operator tree ("stages") of a read-only
-// query part: the Volcano-style pipeline the streaming executor pulls
-// rows through. Each stage is one operator with a single input; the
-// chain runs seed → match/unwind → (pushed limit) → project/aggregate
-// → distinct → sort/top-k → skip → limit. Planning is static: star
-// expansion, column naming, pushdown decisions and streamability are
-// all derived from the AST and the variable scope, never from data.
+// This file builds the logical operator tree ("stages") of a query
+// part: the Volcano-style pipeline the executor pulls rows through.
+// Each stage is one operator with a single input; the chain runs seed
+// → match/unwind/write → (pushed limit) → project/aggregate → distinct
+// → sort/top-k → skip → limit. Planning is static: star expansion,
+// column naming, pushdown decisions and the parallel prefix are all
+// derived from the AST and the variable scope, never from data.
 //
-// Queries the pipeline cannot stream — write clauses, or a RETURN that
-// is not the final clause — fall back to the materializing executor,
-// which is also the reference implementation the equivalence tests
-// compare against (Options.DisableStreaming forces it).
+// Every query runs on this pipeline. A write clause (CREATE, MERGE,
+// SET, REMOVE, DELETE) is a barrier stage: it drains its whole input,
+// bounded by Options.MaxRows, before it applies the first write, so
+// every later stage sees all of the clause's writes — the
+// clause-at-a-time semantics openCypher specifies.
 
 // stageKind enumerates the logical operators.
 type stageKind int
@@ -32,6 +33,7 @@ const (
 	stageTopK                      // bounded heap for ORDER BY ... LIMIT
 	stageSkip                      // drop the first SKIP rows
 	stageLimit                     // cap rows; `pushed` means below projection
+	stageWrite                     // write clause barrier (CREATE, MERGE, SET, REMOVE, DELETE)
 )
 
 // stage is one logical operator node. Exactly one of the payload
@@ -49,6 +51,9 @@ type stage struct {
 
 	// stageFilter
 	cond Expr
+
+	// stageWrite
+	write Clause
 
 	// stageProject
 	items  []*ReturnItem // star-expanded
@@ -70,18 +75,18 @@ type stage struct {
 // at the output end (pull from root, data flows from the seed).
 type stagePlan struct {
 	root *stage
-	cols []string // RETURN column names
+	cols []string // RETURN column names; nil when the part has no RETURN
 	// par is the statically-eligible parallel prefix of the chain, or
 	// nil; whether an execution actually engages it is a per-run
 	// cardinality decision (see parallel.go).
 	par *parallelSegment
 }
 
-// buildStages derives the operator pipeline for one query part, or nil
-// when the part cannot stream (write clauses, or clauses after RETURN,
-// which the materializing executor reports as an error). hints is the
-// per-MATCH index analysis planInto already performed for this plan.
-func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) *stagePlan {
+// buildStages derives the operator pipeline for one query part. hints
+// is the per-MATCH index analysis planInto already performed for this
+// plan. A part without RETURN (a write query) yields no columns: its
+// rows are pulled, so its writes apply, and then dropped.
+func buildStages(q *Query, hints map[*MatchClause]matchHints) (*stagePlan, error) {
 	root := &stage{kind: stageSeed}
 	var scope []string
 	addScope := func(names ...string) {
@@ -110,9 +115,9 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) *sta
 			root = &stage{kind: stageUnwind, input: root, unwind: x}
 			addScope(x.Alias)
 		case *WithClause:
-			proj, cols, ok := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, false)
-			if !ok {
-				return nil
+			proj, cols, err := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, false)
+			if err != nil {
+				return nil, err
 			}
 			root = proj
 			scope = cols
@@ -121,30 +126,36 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints, opts Options) *sta
 			}
 		case *ReturnClause:
 			if i != len(q.Clauses)-1 {
-				return nil // "clause after RETURN" — let the reference path error
+				return nil, evalErrorf("clause after RETURN")
 			}
-			proj, cols, ok := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, true)
-			if !ok {
-				return nil
+			proj, cols, err := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, true)
+			if err != nil {
+				return nil, err
 			}
-			sp := &stagePlan{root: proj, cols: cols}
-			sp.par = analyzeParallel(sp)
-			return sp
+			return &stagePlan{root: proj, cols: cols}, nil
+		case *CreateClause:
+			root = &stage{kind: stageWrite, input: root, write: x}
+			addScope(patternVars(x.Patterns)...)
+		case *MergeClause:
+			root = &stage{kind: stageWrite, input: root, write: x}
+			addScope(patternVars([]*Pattern{x.Pattern})...)
+		case *SetClause, *RemoveClause, *DeleteClause:
+			root = &stage{kind: stageWrite, input: root, write: x}
 		default:
-			return nil // write clauses execute on the materializing path
+			return nil, evalErrorf("unsupported clause %T", cl)
 		}
 	}
-	return nil // no RETURN: nothing to stream, and writes are excluded above
+	return &stagePlan{root: root}, nil
 }
 
 // buildProjection assembles the projection chain of one WITH/RETURN:
 // (pushed limit) → project → distinct → sort|top-k → skip → limit. It
-// returns ok=false when the items cannot be planned statically.
+// errs when the items expand to nothing.
 func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct bool,
-	orderBy []*SortItem, skipE, limitE Expr, final bool) (*stage, []string, bool) {
-	expanded, cols, ok := expandItems(items, scope)
-	if !ok {
-		return nil, nil, false
+	orderBy []*SortItem, skipE, limitE Expr, final bool) (*stage, []string, error) {
+	expanded, cols := expandItems(items, scope)
+	if len(expanded) == 0 {
+		return nil, nil, evalErrorf("nothing to project")
 	}
 	hasAgg := false
 	for _, it := range expanded {
@@ -189,12 +200,12 @@ func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct
 			root = &stage{kind: stageLimit, input: root, limitE: limitE}
 		}
 	}
-	return root, cols, true
+	return root, cols, nil
 }
 
 // expandItems performs RETURN * expansion against the static scope and
-// derives the output column names, mirroring executor.project exactly.
-func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, bool) {
+// derives the output column names.
+func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string) {
 	var expanded []*ReturnItem
 	for _, it := range items {
 		if !it.Star {
@@ -207,9 +218,6 @@ func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, 
 			expanded = append(expanded, &ReturnItem{Expr: &Variable{Name: name}, Alias: name})
 		}
 	}
-	if len(expanded) == 0 {
-		return nil, nil, false // "nothing to project" — reference path errors
-	}
 	cols := make([]string, len(expanded))
 	seen := map[string]bool{}
 	for i, it := range expanded {
@@ -220,5 +228,5 @@ func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string, 
 		seen[name] = true
 		cols[i] = name
 	}
-	return expanded, cols, true
+	return expanded, cols
 }

@@ -2,22 +2,21 @@ package cypher
 
 import (
 	"container/heap"
-	"context"
 	"sort"
 	"sync/atomic"
 
 	"chatiyp/internal/graph"
 )
 
-// This file is the streaming (Volcano-style) executor: each logical
-// stage (see stages.go) becomes a pull iterator, rows flow one at a
-// time from the scan to the output, and a LIMIT — pushed below the
-// projection when no ORDER BY/DISTINCT/aggregate intervenes — stops
-// the upstream scan as soon as it is satisfied. Blocking operators
-// (sort, aggregation) still materialize their input, bounded by
+// This file is the executor: each logical stage (see stages.go)
+// becomes a pull iterator, rows flow one at a time from the scan to
+// the output, and a LIMIT — pushed below the projection when no ORDER
+// BY/DISTINCT/aggregate intervenes — stops the upstream scan as soon
+// as it is satisfied. Blocking operators (sort, aggregation, and the
+// write barriers in write.go) materialize their input, bounded by
 // Options.MaxRows; ORDER BY ... LIMIT avoids the full sort with a
-// bounded top-k heap whose tie-breaking is bit-identical to the
-// materializing executor's stable sort.
+// bounded top-k heap whose tie-breaking is bit-identical to a stable
+// sort.
 
 // rowIter is the pull interface every row-level operator implements.
 // Next returns the next row, or ok=false at end of stream. Returned
@@ -49,10 +48,15 @@ func StreamStats() (rowsStreamed, limitEarlyExit int64) {
 	return streamRowsStreamed.Load(), streamLimitEarlyExit.Load()
 }
 
-// streamExec is the shared state of one streaming execution.
+// streamExec is the shared state of one execution.
 type streamExec struct {
 	ctx      *evalCtx
 	limitHit bool // some limit reached its cap and stopped the pull
+
+	// stats accumulates the write barriers' side effects; barriersRun
+	// counts the barriers that have applied their writes.
+	stats       WriteStats
+	barriersRun int
 
 	// Morsel-driven parallel state (see parallel.go). par is the
 	// current part's statically-eligible segment; runs tracks the live
@@ -61,83 +65,6 @@ type streamExec struct {
 	par  *parallelSegment
 	runs []*parallelRun
 	pre  *morselPreset
-}
-
-// executeStream runs a fully-planned streamable query: every part's
-// operator pipeline is pulled in sequence, with UNION dedup applied to
-// the parts the plan marked (see queryPlan.lastDedup) and
-// Options.RowLimit enforced across the whole output.
-func executeStream(ctx context.Context, g *graph.Graph, plan *queryPlan, params map[string]graph.Value, opts Options) (*Result, error) {
-	// Pin one immutable snapshot for the whole execution (all UNION
-	// parts included): every hop and scan is lock-free against one
-	// consistent epoch, and concurrent writers are never blocked.
-	se := &streamExec{ctx: &evalCtx{g: g, r: g.View(), params: params, opts: opts, plan: plan, ctx: ctx}}
-	defer se.stopRuns()
-	cols := plan.parts[0].cols
-	for _, sp := range plan.parts[1:] {
-		if len(sp.cols) != len(cols) {
-			return nil, evalErrorf("UNION requires the same number of columns (%d vs %d)",
-				len(cols), len(sp.cols))
-		}
-		for i := range sp.cols {
-			if sp.cols[i] != cols[i] {
-				return nil, evalErrorf("UNION requires matching column names (%q vs %q)",
-					cols[i], sp.cols[i])
-			}
-		}
-	}
-	res := &Result{Columns: cols, Rows: [][]graph.Value{}}
-	var seen map[string]bool
-	if plan.lastDedup >= 0 {
-		seen = map[string]bool{}
-	}
-parts:
-	for pi, sp := range plan.parts {
-		if err := se.ctx.pollCancel(); err != nil {
-			return nil, err
-		}
-		se.par = sp.par
-		it, err := se.build(sp.root)
-		if err != nil {
-			return nil, err
-		}
-		dedup := pi <= plan.lastDedup
-		for {
-			if err := se.ctx.checkCancel(); err != nil {
-				return nil, err
-			}
-			row, ok, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue parts
-			}
-			vals := make([]graph.Value, len(cols))
-			for j, c := range cols {
-				vals[j] = row[c]
-			}
-			if dedup {
-				key := graph.ValueKey(vals)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-			}
-			if opts.RowLimit > 0 && len(res.Rows) == opts.RowLimit {
-				// A row beyond the cap exists, so the flag is exact.
-				res.Truncated = true
-				se.limitHit = true
-				break parts
-			}
-			res.Rows = append(res.Rows, vals)
-		}
-	}
-	streamRowsStreamed.Add(int64(len(res.Rows)))
-	if se.limitHit {
-		streamLimitEarlyExit.Add(1)
-	}
-	return res, nil
 }
 
 // build assembles the iterator chain for a stage pipeline, rooted at s.
@@ -176,6 +103,12 @@ func (se *streamExec) build(s *stage) (rowIter, error) {
 			return nil, err
 		}
 		return &filterIter{se: se, cond: s.cond, input: in}, nil
+	case stageWrite:
+		in, err := se.build(s.input)
+		if err != nil {
+			return nil, err
+		}
+		return &writeIter{se: se, cl: s.write, input: in}, nil
 	case stageLimit:
 		if s.pushed {
 			in, err := se.build(s.input)
@@ -258,8 +191,8 @@ func (se *streamExec) buildProj(s *stage) (projIter, error) {
 	return nil, evalErrorf("internal: stage kind %d in projection pipeline", s.kind)
 }
 
-// evalSkip evaluates a SKIP expression (nil means 0) with the same
-// validation as the materializing executor.
+// evalSkip evaluates a SKIP expression (nil means 0): a non-negative
+// integer.
 func (se *streamExec) evalSkip(e Expr) (int, error) {
 	if e == nil {
 		return 0, nil
@@ -275,8 +208,7 @@ func (se *streamExec) evalSkip(e Expr) (int, error) {
 	return int(s), nil
 }
 
-// evalLimit evaluates a LIMIT expression with the same validation as
-// the materializing executor.
+// evalLimit evaluates a LIMIT expression: a non-negative integer.
 func (se *streamExec) evalLimit(e Expr) (int, error) {
 	v, err := se.ctx.eval(e, Row{})
 	if err != nil {
@@ -423,8 +355,7 @@ func (it *matchIter) Next() (Row, bool, error) {
 }
 
 // fillMulti buffers every match of a multi-pattern MATCH for the
-// current input row — the materializing executor's per-row behavior,
-// bounded by MaxRows.
+// current input row, bounded by MaxRows.
 func (it *matchIter) fillMulti() error {
 	matches := []Row{it.inRow}
 	for _, pat := range it.m.Patterns {
@@ -457,8 +388,7 @@ func (it *matchIter) fillMulti() error {
 }
 
 // filterWhere applies the MATCH's WHERE predicate to the buffered
-// matches (before the optional-null fallback, as the reference
-// executor does).
+// matches (before the optional-null fallback).
 func (it *matchIter) filterWhere() error {
 	if it.m.Where == nil || len(it.buf) == 0 {
 		return nil
@@ -665,7 +595,8 @@ func drainRows(ctx *evalCtx, it rowIter, maxRows int) ([]Row, error) {
 }
 
 // distinctIter keeps the first occurrence of each projected row and
-// severs the source scope, as DISTINCT does in the reference executor.
+// severs the source scope: ORDER BY after DISTINCT sees only the
+// projected columns.
 type distinctIter struct {
 	in   projIter
 	cols []string

@@ -6,19 +6,21 @@ import (
 	"chatiyp/internal/graph"
 )
 
-// This file is the public face of the streaming executor: a pull
-// iterator callers drive row by row, so transports (the HTTP server's
-// NDJSON mode, cursor pagination) can put the first result on the wire
-// before the scan has finished. Execute and friends drain the same
-// pipeline into a materialized Result; Stream hands the pipeline to the
-// caller instead.
+// This file is the public face of the executor: a pull iterator
+// callers drive row by row, so transports (the HTTP server's NDJSON
+// mode, cursor pagination) can put the first result on the wire before
+// the scan has finished. Execute and friends build the same Stream and
+// drain it into a materialized Result.
 
 // Stream is a pull iterator over one query execution's result rows.
-// Rows come off the streaming operator pipeline as the scan produces
-// them; queries the streaming executor cannot run (write clauses,
-// Options.DisableStreaming) are executed eagerly on the materializing
-// reference path and replayed row by row, so callers see one interface
-// either way.
+// Rows come off the operator pipeline as the scan produces them.
+//
+// A read-only query pins one graph.View when the Stream is created. A
+// write query reads the live graph instead, so later clauses see its
+// own writes, and it applies all of its writes inside the constructor:
+// a failing write is an error from the constructor, and every write
+// applies exactly once however few rows the caller pulls. Rows after
+// the last write barrier still stream lazily.
 //
 // A Stream is single-goroutine: calls to Next must not race. Callers
 // must call Close when done (Close is idempotent and implied by
@@ -31,7 +33,6 @@ type Stream struct {
 	counted   bool
 	err       error
 
-	// Streaming state (nil se means the materialized fallback below).
 	se        *streamExec
 	parts     []*stagePlan
 	partIdx   int
@@ -41,9 +42,15 @@ type Stream struct {
 	rowLimit  int
 	emitted   int
 
-	// Materialized fallback state.
-	res *Result
-	ri  int
+	// buf holds rows pulled ahead while the constructor ran a write
+	// query's barriers; Next hands them out before pulling on.
+	buf []pulledRow
+}
+
+// pulledRow is one result row and the index of the part it came from.
+type pulledRow struct {
+	vals []graph.Value
+	part int
 }
 
 // ExecuteStream parses src and begins a streaming execution with
@@ -72,21 +79,11 @@ func (pq *PreparedQuery) StreamContext(ctx context.Context, g *graph.Graph, para
 }
 
 // executeQueryStream builds a Stream for a parsed query. Plan-time
-// errors (parameter normalization, UNION column mismatches) surface
-// here rather than on the first Next, so transports can still answer
-// with a clean HTTP error before committing to a 200.
+// errors (parameter normalization, UNION column mismatches) and every
+// write surface here rather than on the first Next, so transports can
+// still answer with a clean HTTP error before committing to a 200.
 func executeQueryStream(ctx context.Context, g *graph.Graph, q *Query, plan *queryPlan, params map[string]any, opts Options) (*Stream, error) {
 	opts = opts.withDefaults()
-	if plan == nil {
-		plan = planQuery(g, q, opts)
-	}
-	if !plan.streamable || opts.DisableStreaming {
-		res, err := executeQueryPlanned(ctx, g, q, plan, params, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{cols: res.Columns, truncated: res.Truncated, res: res}, nil
-	}
 	normParams := make(map[string]graph.Value, len(params))
 	for k, v := range params {
 		nv, err := graph.NormalizeValue(v)
@@ -95,32 +92,43 @@ func executeQueryStream(ctx context.Context, g *graph.Graph, q *Query, plan *que
 		}
 		normParams[k] = nv
 	}
-	cols := plan.parts[0].cols
-	for _, sp := range plan.parts[1:] {
-		if len(sp.cols) != len(cols) {
-			return nil, evalErrorf("UNION requires the same number of columns (%d vs %d)",
-				len(cols), len(sp.cols))
-		}
-		for i := range sp.cols {
-			if sp.cols[i] != cols[i] {
-				return nil, evalErrorf("UNION requires matching column names (%q vs %q)",
-					cols[i], sp.cols[i])
-			}
-		}
+	if plan == nil {
+		plan = planQuery(g, q, opts)
+	}
+	if plan.err != nil {
+		return nil, plan.err
+	}
+	// A read-only stream pins its snapshot here, when it is created — a
+	// long-lived cursor page or NDJSON response then reads one
+	// consistent graph epoch for its entire lifetime, no matter how
+	// many writes land while rows trickle out. A write query reads the
+	// live graph so that it sees its own writes.
+	var r graph.Reader = g
+	if plan.writes == 0 {
+		r = g.View()
 	}
 	s := &Stream{
-		cols: cols,
-		// The snapshot is pinned here, when the stream is created — a
-		// long-lived cursor page or NDJSON response then reads one
-		// consistent graph epoch for its entire lifetime, no matter how
-		// many writes land while rows trickle out.
-		se: &streamExec{ctx: &evalCtx{g: g, r: g.View(), params: normParams, opts: opts, plan: plan, ctx: ctx}},
+		cols:      plan.parts[0].cols,
+		se:        &streamExec{ctx: &evalCtx{g: g, r: r, params: normParams, opts: opts, plan: plan, ctx: ctx}},
 		parts:     plan.parts,
 		lastDedup: plan.lastDedup,
 		rowLimit:  opts.RowLimit,
 	}
 	if plan.lastDedup >= 0 {
 		s.seen = map[string]bool{}
+	}
+	// Pull until every write barrier has run, holding the rows pulled
+	// on the way (the earlier UNION parts, and at most the first row
+	// after the last barrier).
+	for s.se.barriersRun < plan.writes {
+		vals, part, ok, err := s.pull()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		s.buf = append(s.buf, pulledRow{vals: vals, part: part})
 	}
 	return s, nil
 }
@@ -136,64 +144,97 @@ func (s *Stream) Next() ([]graph.Value, bool, error) {
 	if s.err != nil || s.done {
 		return nil, false, s.err
 	}
-	if s.res != nil {
-		if s.ri >= len(s.res.Rows) {
-			s.finish()
-			return nil, false, nil
-		}
-		row := s.res.Rows[s.ri]
-		s.ri++
-		return row, true, nil
-	}
 	for {
-		if s.it == nil {
-			if s.partIdx >= len(s.parts) {
-				s.finish()
-				return nil, false, nil
-			}
-			if err := s.se.ctx.pollCancel(); err != nil {
-				return s.fail(err)
-			}
-			s.se.par = s.parts[s.partIdx].par
-			it, err := s.se.build(s.parts[s.partIdx].root)
+		var pr pulledRow
+		if len(s.buf) > 0 {
+			pr, s.buf = s.buf[0], s.buf[1:]
+		} else {
+			vals, part, ok, err := s.pull()
 			if err != nil {
 				return s.fail(err)
 			}
-			s.it = it
+			if !ok {
+				s.finish()
+				return nil, false, nil
+			}
+			pr = pulledRow{vals: vals, part: part}
 		}
-		if err := s.se.ctx.checkCancel(); err != nil {
-			return s.fail(err)
-		}
-		row, ok, err := s.it.Next()
-		if err != nil {
-			return s.fail(err)
-		}
-		if !ok {
-			s.it = nil
-			s.partIdx++
-			continue
-		}
-		vals := make([]graph.Value, len(s.cols))
-		for j, c := range s.cols {
-			vals[j] = row[c]
-		}
-		if s.partIdx <= s.lastDedup {
-			key := graph.ValueKey(vals)
+		if pr.part <= s.lastDedup {
+			key := graph.ValueKey(pr.vals)
 			if s.seen[key] {
 				continue
 			}
 			s.seen[key] = true
 		}
 		if s.rowLimit > 0 && s.emitted == s.rowLimit {
-			// A row beyond the cap exists, so the flag is exact — same
-			// semantics as Result.Truncated on the materializing paths.
+			// A row beyond the cap exists, so the flag is exact.
 			s.truncated = true
 			s.se.limitHit = true
 			s.finish()
 			return nil, false, nil
 		}
 		s.emitted++
-		return vals, true, nil
+		return pr.vals, true, nil
+	}
+}
+
+// drain pulls the stream to its end into a Result and closes it.
+func (s *Stream) drain() (*Result, error) {
+	defer s.Close()
+	res := &Result{Columns: s.cols, Rows: [][]graph.Value{}}
+	for {
+		row, ok, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			res.Stats, res.Truncated = s.Stats(), s.Truncated()
+			return res, nil
+		}
+		res.Rows = append(res.Rows, row)
+	}
+}
+
+// pull returns the next row of the pipeline and the index of its part,
+// before UNION dedup and RowLimit, moving on to the next part when one
+// ends. The rows of a part without RETURN are pulled, so its writes
+// apply, and dropped.
+func (s *Stream) pull() ([]graph.Value, int, bool, error) {
+	for {
+		if s.it == nil {
+			if s.partIdx >= len(s.parts) {
+				return nil, 0, false, nil
+			}
+			if err := s.se.ctx.pollCancel(); err != nil {
+				return nil, 0, false, err
+			}
+			s.se.par = s.parts[s.partIdx].par
+			it, err := s.se.build(s.parts[s.partIdx].root)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			s.it = it
+		}
+		if err := s.se.ctx.checkCancel(); err != nil {
+			return nil, 0, false, err
+		}
+		row, ok, err := s.it.Next()
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if !ok {
+			s.it = nil
+			s.partIdx++
+			continue
+		}
+		if s.cols == nil {
+			continue
+		}
+		vals := make([]graph.Value, len(s.cols))
+		for j, c := range s.cols {
+			vals[j] = row[c]
+		}
+		return vals, s.partIdx, true, nil
 	}
 }
 
@@ -202,15 +243,10 @@ func (s *Stream) Next() ([]graph.Value, bool, error) {
 // ok=false.
 func (s *Stream) Truncated() bool { return s.truncated }
 
-// Stats returns the write statistics of the execution. Streamed
-// queries are read-only by construction, so stats are only non-zero
-// when the materializing fallback ran a write query.
-func (s *Stream) Stats() WriteStats {
-	if s.res != nil {
-		return s.res.Stats
-	}
-	return WriteStats{}
-}
+// Stats returns the write statistics of the execution. A write query
+// has applied all of its writes by the time its Stream exists, so the
+// stats are final from the start.
+func (s *Stream) Stats() WriteStats { return s.se.stats }
 
 // Close ends the stream early, stopping any parallel morsel workers
 // and flushing the executor's row counters for the rows already
@@ -218,35 +254,28 @@ func (s *Stream) Stats() WriteStats {
 // including after the stream ended naturally.
 func (s *Stream) Close() {
 	s.done = true
-	if s.se != nil {
-		s.se.stopRuns()
-	}
+	s.se.stopRuns()
 	s.flushCounters()
 }
 
 func (s *Stream) finish() {
 	s.done = true
-	if s.se != nil {
-		s.se.stopRuns()
-	}
+	s.se.stopRuns()
 	s.flushCounters()
 }
 
 func (s *Stream) fail(err error) ([]graph.Value, bool, error) {
 	s.err = err
 	s.done = true
-	if s.se != nil {
-		s.se.stopRuns()
-	}
+	s.se.stopRuns()
 	s.flushCounters()
 	return nil, false, err
 }
 
 // flushCounters mirrors the emitted-row count into the process-global
-// streaming counters exactly once. The materialized fallback already
-// counted (or deliberately bypassed) them inside Execute.
+// streaming counters exactly once.
 func (s *Stream) flushCounters() {
-	if s.counted || s.res != nil {
+	if s.counted {
 		return
 	}
 	s.counted = true

@@ -3,7 +3,6 @@ package cypher
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"chatiyp/internal/graph"
@@ -25,37 +24,24 @@ func drainStream(t *testing.T, s *Stream) [][]graph.Value {
 	}
 }
 
-// TestStreamAPIEquivalenceCorpus drives the whole conformance corpus
-// through the public pull iterator and checks the collected rows are
-// bit-identical to the materializing executor's.
+// TestStreamAPIEquivalenceCorpus drives the whole read corpus through
+// the public pull iterator and checks the collected rows against the
+// outputs recorded for TestStreamingEquivalenceCorpus. Plan-time errors
+// surface from ExecuteStream itself, runtime errors from Next.
 func TestStreamAPIEquivalenceCorpus(t *testing.T) {
 	g := fixture(t)
-	for _, src := range streamEquivCorpus {
-		mres, merr := ExecuteWith(g, src, nil, Options{DisableStreaming: true})
-		st, serr := ExecuteStream(g, src, nil)
-		if (serr == nil) != (merr == nil) {
-			// Plan-time errors must surface from ExecuteStream itself;
-			// runtime errors are checked below.
-			if serr != nil {
-				continue
-			}
-			_, _, nerr := st.Next()
-			if (nerr == nil) != (merr == nil) {
-				t.Fatalf("%s: error divergence: stream=%v materialized=%v", src, nerr, merr)
-			}
-			continue
+	recordedReadsOnce.Do(func() { loadRecorded(t, "recorded_reads.json", &recordedReads) })
+	want := recordedReads["TestStreamingEquivalenceCorpus"]
+	if len(want) != len(streamEquivCorpus) {
+		t.Fatalf("recorded %d outputs, corpus has %d", len(want), len(streamEquivCorpus))
+	}
+	for i, src := range streamEquivCorpus {
+		st, err := ExecuteStream(g, src, nil)
+		var res *Result
+		if err == nil {
+			res, err = st.drain()
 		}
-		if serr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(st.Columns(), mres.Columns) {
-			t.Fatalf("%s: columns diverge: %v vs %v", src, st.Columns(), mres.Columns)
-		}
-		rows := drainStream(t, st)
-		if !reflect.DeepEqual(rows, mres.Rows) {
-			t.Fatalf("%s: rows diverge:\nstream:       %v\nmaterialized: %v", src, rows, mres.Rows)
-		}
-		st.Close()
+		diffRecorded(t, "Stream", want[i], recordOutcome(src, res, err))
 	}
 }
 
@@ -77,8 +63,8 @@ func TestStreamAPIRowLimitTruncates(t *testing.T) {
 
 func TestStreamAPIMaterializedFallback(t *testing.T) {
 	g := fixture(t)
-	// A write query cannot stream; the fallback must replay the
-	// materialized result and carry its stats.
+	// A write query streams through its write barrier and carries the
+	// barrier's stats.
 	st, err := ExecuteStream(g, "CREATE (x:Thing {name: 'streamed'}) RETURN x.name", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +75,43 @@ func TestStreamAPIMaterializedFallback(t *testing.T) {
 	}
 	if st.Stats().NodesCreated != 1 {
 		t.Fatalf("stats = %+v", st.Stats())
+	}
+}
+
+// TestStreamAPIWriteAppliesBeforeFirstNext pins the write contract: a
+// write Stream has applied all of its writes when ExecuteStream
+// returns, so closing it before the first Next (or capping it with
+// RowLimit) loses none of them, and a failing write is an error from
+// ExecuteStream itself.
+func TestStreamAPIWriteAppliesBeforeFirstNext(t *testing.T) {
+	g := fixture(t)
+	st, err := ExecuteStream(g, "UNWIND range(1, 3) AS i CREATE (n:Early {i: i}) RETURN n.i", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().NodesCreated; got != 3 {
+		t.Fatalf("stats before the first Next: NodesCreated = %d, want 3", got)
+	}
+	st.Close()
+	if n := len(g.NodesByLabel("Early")); n != 3 {
+		t.Fatalf("%d :Early nodes after Close, want 3", n)
+	}
+
+	st, err = ExecuteStreamContext(context.Background(), g,
+		"CREATE (:Once) RETURN 1 AS x UNION ALL CREATE (:Twice) RETURN 2 AS x", nil, Options{RowLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := drainStream(t, st)
+	if len(rows) != 1 || !st.Truncated() {
+		t.Fatalf("rows=%v truncated=%v, want 1 row, truncated", rows, st.Truncated())
+	}
+	if len(g.NodesByLabel("Once")) != 1 || len(g.NodesByLabel("Twice")) != 1 {
+		t.Fatal("a RowLimit-capped write stream skipped the writes of a later UNION part")
+	}
+
+	if _, err := ExecuteStream(g, "CREATE (a)-[:R]-(b)", nil); err == nil {
+		t.Fatal("a failing write must fail ExecuteStream")
 	}
 }
 

@@ -1,24 +1,24 @@
 package cypher
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"chatiyp/internal/graph"
 )
 
-// Streaming/materialized equivalence: every read-only query must
-// produce bit-identical columns, rows (including order) and stats on
-// the streaming operator pipeline and on the materializing reference
-// executor (Options.DisableStreaming).
+// Recorded-output equivalence: every read query must produce exactly
+// the columns, rows (including order), value types, stats and error
+// text recorded from the former materializing executor (see
+// oracle_test.go).
 
-// streamEquivCorpus is the conformance corpus both executors run: a
-// broad sweep of read shapes, with deliberate weight on the pipeline's
-// new machinery — LIMIT pushdown, top-k ORDER BY, SKIP interplay,
-// DISTINCT severing, UNION dedup, OPTIONAL MATCH fallbacks.
+// streamEquivCorpus is the read conformance corpus: a broad sweep of
+// read shapes, with deliberate weight on the pipeline's machinery —
+// LIMIT pushdown, top-k ORDER BY, SKIP interplay, DISTINCT severing,
+// UNION dedup, OPTIONAL MATCH fallbacks.
 var streamEquivCorpus = []string{
 	// Plain scans and projections.
 	"MATCH (a:AS) RETURN a.asn",
@@ -95,45 +95,17 @@ var streamEquivCorpus = []string{
 	"RETURN [x IN range(1, 5) WHERE x % 2 = 0] AS evens",
 }
 
-// runBoth executes src on both executors and fails the test unless the
-// outcomes are identical.
-func runBoth(t *testing.T, g *graph.Graph, src string, params map[string]any, opts Options) (*Result, *Result) {
-	t.Helper()
-	streamOpts := opts
-	streamOpts.DisableStreaming = false
-	matOpts := opts
-	matOpts.DisableStreaming = true
-	sres, serr := ExecuteWith(g, src, params, streamOpts)
-	mres, merr := ExecuteWith(g, src, params, matOpts)
-	if (serr == nil) != (merr == nil) {
-		t.Fatalf("%s: error divergence: streaming=%v materialized=%v", src, serr, merr)
-	}
-	if serr != nil {
-		return nil, nil
-	}
-	if !reflect.DeepEqual(sres.Columns, mres.Columns) {
-		t.Fatalf("%s: columns diverge: %v vs %v", src, sres.Columns, mres.Columns)
-	}
-	if !reflect.DeepEqual(sres.Rows, mres.Rows) {
-		t.Fatalf("%s: rows diverge:\nstreaming:    %v\nmaterialized: %v", src, sres.Rows, mres.Rows)
-	}
-	if sres.Stats != mres.Stats {
-		t.Fatalf("%s: stats diverge: %+v vs %+v", src, sres.Stats, mres.Stats)
-	}
-	return sres, mres
-}
-
 func TestStreamingEquivalenceCorpus(t *testing.T) {
 	g := fixture(t)
 	for _, src := range streamEquivCorpus {
-		runBoth(t, g, src, nil, Options{})
+		checkRecorded(t, g, src, nil, Options{})
 	}
 }
 
 func TestStreamingEquivalenceCorpusNoIndexes(t *testing.T) {
 	g := fixture(t)
 	for _, src := range streamEquivCorpus {
-		runBoth(t, g, src, nil, Options{DisableIndexes: true})
+		checkRecorded(t, g, src, nil, Options{DisableIndexes: true})
 	}
 }
 
@@ -148,11 +120,11 @@ func TestStreamingEquivalenceChainGraph(t *testing.T) {
 		"MATCH (a:N)-[:NEXT]-(b)-[:NEXT]-(c) RETURN DISTINCT c.i ORDER BY c.i",
 		"MATCH (n:N) WHERE n.i % 2 = 0 RETURN n.i ORDER BY n.i LIMIT 3",
 	} {
-		runBoth(t, g, src, nil, Options{})
+		checkRecorded(t, g, src, nil, Options{})
 	}
 }
 
-// TestStreamingEquivalenceRandomized cross-checks the two executors on
+// TestStreamingEquivalenceRandomized checks the recorded outputs on
 // random graphs with duplicate-heavy properties — the worst case for
 // top-k tie-breaking and DISTINCT.
 func TestStreamingEquivalenceRandomized(t *testing.T) {
@@ -190,7 +162,7 @@ func TestStreamingEquivalenceRandomized(t *testing.T) {
 			fmt.Sprintf("MATCH (v:V) RETURN v.x, count(*) ORDER BY count(*) DESC, v.x LIMIT %d", limit),
 			"MATCH (v:V) RETURN v.x, collect(v.i) ORDER BY v.x",
 		} {
-			runBoth(t, g, src, nil, Options{})
+			checkRecorded(t, g, src, nil, Options{})
 		}
 	}
 }
@@ -206,13 +178,13 @@ func TestStreamingTopKTieOrdering(t *testing.T) {
 	}
 	for limit := 1; limit <= 9; limit++ {
 		src := fmt.Sprintf("MATCH (t:T) RETURN t.id ORDER BY t.k LIMIT %d", limit)
-		sres, _ := runBoth(t, g, src, nil, Options{})
+		sres := checkRecorded(t, g, src, nil, Options{})
 		if len(sres.Rows) != limit {
 			t.Fatalf("LIMIT %d returned %d rows", limit, len(sres.Rows))
 		}
 	}
 	// Explicit spot check: ties on k=0 are ids 0,3,6 in that order.
-	res, _ := runBoth(t, g, "MATCH (t:T) RETURN t.id ORDER BY t.k LIMIT 2", nil, Options{})
+	res := checkRecorded(t, g, "MATCH (t:T) RETURN t.id ORDER BY t.k LIMIT 2", nil, Options{})
 	if res.Rows[0][0] != int64(0) || res.Rows[1][0] != int64(3) {
 		t.Fatalf("tie order = %v, want [0] [3]", res.Rows)
 	}
@@ -229,54 +201,43 @@ func TestStreamingErrorParity(t *testing.T) {
 		"MATCH (a:AS) RETURN a.name UNION MATCH (a:AS) RETURN a.name, a.asn",
 		"MATCH (a:AS) RETURN a.name AS x UNION MATCH (a:AS) RETURN a.name AS y",
 	} {
-		runBoth(t, g, src, nil, Options{}) // asserts both paths error
+		checkRecorded(t, g, src, nil, Options{}) // asserts the recorded error text
 	}
 }
 
 func TestRowLimitTruncation(t *testing.T) {
 	g := fixture(t) // 3 AS nodes
-	for _, disable := range []bool{false, true} {
-		opts := Options{RowLimit: 2, DisableStreaming: disable}
-		res, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 2 || !res.Truncated {
-			t.Fatalf("disable=%v: rows=%d truncated=%v, want 2/true", disable, len(res.Rows), res.Truncated)
-		}
-		// Cap at or above the natural size must not set the flag.
-		res, err = ExecuteWith(g, "MATCH (a:AS) RETURN a.asn", nil, Options{RowLimit: 3, DisableStreaming: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 3 || res.Truncated {
-			t.Fatalf("disable=%v: rows=%d truncated=%v, want 3/false", disable, len(res.Rows), res.Truncated)
-		}
-	}
-	// The truncated prefix matches between the executors.
-	sres, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, Options{RowLimit: 2})
+	res, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, Options{RowLimit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", nil, Options{RowLimit: 2, DisableStreaming: true})
+	if len(res.Rows) != 2 || !res.Truncated {
+		t.Fatalf("rows=%d truncated=%v, want 2/true", len(res.Rows), res.Truncated)
+	}
+	if res.Rows[0][0] != int64(2497) || res.Rows[1][0] != int64(15169) {
+		t.Fatalf("truncated prefix = %v, want [2497] [15169]", res.Rows)
+	}
+	// Cap at or above the natural size must not set the flag.
+	res, err = ExecuteWith(g, "MATCH (a:AS) RETURN a.asn", nil, Options{RowLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sres.Rows, mres.Rows) {
-		t.Fatalf("truncated prefixes diverge: %v vs %v", sres.Rows, mres.Rows)
+	if len(res.Rows) != 3 || res.Truncated {
+		t.Fatalf("rows=%d truncated=%v, want 3/false", len(res.Rows), res.Truncated)
 	}
 }
 
-// TestStreamingAvoidsTooManyRows is the headline semantic improvement:
-// a LIMIT query over an intermediate that would overflow the
-// materializing executor's MaxRows succeeds on the pipeline because
-// the pushed-down limit stops the scan first.
+// TestStreamingAvoidsTooManyRows: a LIMIT query over an intermediate
+// larger than MaxRows succeeds because the pushed-down limit stops the
+// scan first, while a blocking operator over the same intermediate
+// overflows.
 func TestStreamingAvoidsTooManyRows(t *testing.T) {
 	g := chainGraph(t, 300)
 	src := "MATCH (a:N)-[:NEXT]->(b) RETURN a.i LIMIT 3" // 299 intermediate rows
 	opts := Options{MaxRows: 100}
-	if _, err := ExecuteWith(g, src, nil, Options{MaxRows: 100, DisableStreaming: true}); err == nil {
-		t.Fatal("materializing executor should overflow MaxRows")
+	blocking := "MATCH (a:N)-[:NEXT]->(b) RETURN count(a)"
+	if _, err := ExecuteWith(g, blocking, nil, opts); !errors.Is(err, ErrTooManyRows) {
+		t.Fatalf("aggregate over 299 rows with MaxRows 100: err = %v, want ErrTooManyRows", err)
 	}
 	res, err := ExecuteWith(g, src, nil, opts)
 	if err != nil {
@@ -284,6 +245,31 @@ func TestStreamingAvoidsTooManyRows(t *testing.T) {
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	}
+}
+
+// TestWriteBarrierMaxRows: MaxRows bounds the rows a write barrier
+// holds, counted after the MATCH's WHERE, and a top-k below the
+// barrier keeps the intermediate small.
+func TestWriteBarrierMaxRows(t *testing.T) {
+	g := fixture(t) // 9 nodes; only the IXP is named TESTIX
+	opts := Options{MaxRows: 3}
+	res, err := ExecuteWith(g, "MATCH (n) WHERE n.name = 'TESTIX' SET n.hit = true RETURN count(n)", nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := res.Value(); v != int64(1) || res.Stats.PropertiesSet != 1 {
+		t.Fatalf("count = %v, stats %+v; want the one TESTIX node updated", v, res.Stats)
+	}
+	res, err = ExecuteWith(g, "MATCH (a:AS) WITH a ORDER BY a.asn DESC LIMIT 1 SET a.top = true RETURN a.asn", nil, Options{MaxRows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := res.Value(); v != int64(64500) {
+		t.Fatalf("top AS = %v, want 64500", v)
+	}
+	if _, err := ExecuteWith(g, "MATCH (a:AS) SET a.x = 1", nil, Options{MaxRows: 2}); !errors.Is(err, ErrTooManyRows) {
+		t.Fatalf("3 rows into a barrier with MaxRows 2: err = %v, want ErrTooManyRows", err)
 	}
 }
 

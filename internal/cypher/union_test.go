@@ -140,6 +140,49 @@ func TestExplainWriteClauses(t *testing.T) {
 	}
 }
 
+// TestExplainWriteBarrier: EXPLAIN of a write query renders the same
+// stage chain the executor runs, with the write clause as a barrier
+// between the read stages.
+func TestExplainWriteBarrier(t *testing.T) {
+	g := fixture(t)
+	plan, err := Explain(g, "MATCH (a:AS {asn: $asn}) SET a.x = 1 RETURN a.asn", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"MATCH (a:AS {asn: $asn})",
+		"anchor: node 0 (a:AS) via property index (AS, asn)",
+		"SET 1 item(s) (write barrier)",
+		"RETURN (project): a.asn",
+	}
+	at := 0
+	for _, w := range want {
+		i := strings.Index(plan[at:], w)
+		if i < 0 {
+			t.Fatalf("plan missing %q after offset %d:\n%s", w, at, plan)
+		}
+		at += i + len(w)
+	}
+}
+
+// TestPlanErrorsApplyNoWrites: a query that fails to plan (nothing to
+// project, mismatched UNION columns) fails before any clause runs, so
+// none of its writes apply.
+func TestPlanErrorsApplyNoWrites(t *testing.T) {
+	for _, src := range []string{
+		"CREATE () RETURN *",
+		"CREATE (a:P) RETURN 1 AS x UNION CREATE (b:P) RETURN 2 AS y",
+	} {
+		g := graph.New()
+		if _, err := Execute(g, src, nil); err == nil {
+			t.Fatalf("%s: want a planning error", src)
+		}
+		if n := g.NodeCount(); n != 0 {
+			t.Fatalf("%s: %d nodes created by a query that failed to plan", src, n)
+		}
+	}
+}
+
 func TestUnionWithWrites(t *testing.T) {
 	// UNION of write stats accumulates.
 	g := graph.New()

@@ -6,9 +6,77 @@ import (
 	"chatiyp/internal/graph"
 )
 
+// writeIter runs one write clause (CREATE, MERGE, SET, REMOVE, DELETE)
+// as a barrier stage. On its first pull it drains its whole input,
+// bounded by Options.MaxRows, and only then applies the clause to
+// every row, so later stages — including a later MATCH reading the
+// live graph — see all of the clause's writes. The rows it then yields
+// are its input rows, extended with the variables CREATE and MERGE
+// bind.
+type writeIter struct {
+	se    *streamExec
+	cl    Clause
+	input rowIter
+
+	rows []Row // the drained input, then the clause's output
+	pos  int
+	done bool
+}
+
+func (w *writeIter) Next() (Row, bool, error) {
+	if !w.done {
+		if err := w.run(); err != nil {
+			return nil, false, err
+		}
+	}
+	if w.pos >= len(w.rows) {
+		return nil, false, nil
+	}
+	row := w.rows[w.pos]
+	w.pos++
+	return row, true, nil
+}
+
+// run drains the input and applies the clause. Cancellation is checked
+// while draining and once before the first write, never between the
+// writes of one clause, so a canceled query never half-applies a
+// clause.
+func (w *writeIter) run() error {
+	rows, err := drainRows(w.se.ctx, w.input, w.se.ctx.opts.MaxRows)
+	if err != nil {
+		return err
+	}
+	if err := w.se.ctx.pollCancel(); err != nil {
+		return err
+	}
+	w.rows = rows
+	switch x := w.cl.(type) {
+	case *CreateClause:
+		err = w.execCreate(x)
+	case *MergeClause:
+		err = w.execMerge(x)
+	case *SetClause:
+		err = w.execSet(x.Items)
+	case *RemoveClause:
+		err = w.execRemove(x)
+	case *DeleteClause:
+		err = w.execDelete(x)
+	}
+	if err != nil {
+		return err
+	}
+	// MERGE can yield several rows per input row.
+	if len(w.rows) > w.se.ctx.opts.MaxRows {
+		return ErrTooManyRows
+	}
+	w.done = true
+	w.se.barriersRun++
+	return nil
+}
+
 // execCreate instantiates each pattern once per binding row, reusing
 // bound endpoint variables and creating everything unbound.
-func (ex *executor) execCreate(c *CreateClause) error {
+func (w *writeIter) execCreate(c *CreateClause) error {
 	for _, pat := range c.Patterns {
 		for _, r := range pat.Rels {
 			if r.VarLength != nil {
@@ -19,32 +87,27 @@ func (ex *executor) execCreate(c *CreateClause) error {
 			}
 		}
 	}
-	for _, row := range ex.rows {
+	for _, row := range w.rows {
 		for _, pat := range c.Patterns {
-			if err := ex.createPattern(pat, row); err != nil {
+			if err := w.createPattern(pat, row); err != nil {
 				return err
 			}
 		}
 	}
-	var names []string
-	for _, pat := range c.Patterns {
-		names = append(names, patternVars([]*Pattern{pat})...)
-	}
-	ex.addScope(names...)
 	return nil
 }
 
-func (ex *executor) createPattern(pat *Pattern, row Row) error {
+func (w *writeIter) createPattern(pat *Pattern, row Row) error {
 	nodes := make([]*graph.Node, len(pat.Nodes))
 	for i, np := range pat.Nodes {
-		n, err := ex.resolveOrCreateNode(np, row)
+		n, err := w.resolveOrCreateNode(np, row)
 		if err != nil {
 			return err
 		}
 		nodes[i] = n
 	}
 	for i, rp := range pat.Rels {
-		props, err := ex.evalPropMap(rp.Props, row)
+		props, err := w.evalPropMap(rp.Props, row)
 		if err != nil {
 			return err
 		}
@@ -55,12 +118,12 @@ func (ex *executor) createPattern(pat *Pattern, row Row) error {
 		if rp.Direction == DirLeft {
 			start, end = end, start
 		}
-		r, err := ex.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
+		r, err := w.se.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
 		if err != nil {
 			return err
 		}
-		ex.stats.RelationshipsCreated++
-		ex.stats.PropertiesSet += len(props)
+		w.se.stats.RelationshipsCreated++
+		w.se.stats.PropertiesSet += len(props)
 		if rp.Var != "" {
 			row[rp.Var] = r
 		}
@@ -72,7 +135,7 @@ func (ex *executor) createPattern(pat *Pattern, row Row) error {
 	return nil
 }
 
-func (ex *executor) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, error) {
+func (w *writeIter) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, error) {
 	if np.Var != "" {
 		if v, bound := row[np.Var]; bound {
 			n, ok := v.(*graph.Node)
@@ -85,27 +148,27 @@ func (ex *executor) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, 
 			return n, nil
 		}
 	}
-	props, err := ex.evalPropMap(np.Props, row)
+	props, err := w.evalPropMap(np.Props, row)
 	if err != nil {
 		return nil, err
 	}
-	n, err := ex.ctx.g.CreateNode(np.Labels, props)
+	n, err := w.se.ctx.g.CreateNode(np.Labels, props)
 	if err != nil {
 		return nil, err
 	}
-	ex.stats.NodesCreated++
-	ex.stats.PropertiesSet += len(props)
-	ex.stats.LabelsAdded += len(np.Labels)
+	w.se.stats.NodesCreated++
+	w.se.stats.PropertiesSet += len(props)
+	w.se.stats.LabelsAdded += len(np.Labels)
 	if np.Var != "" {
 		row[np.Var] = n
 	}
 	return n, nil
 }
 
-func (ex *executor) evalPropMap(props map[string]Expr, row Row) (map[string]any, error) {
+func (w *writeIter) evalPropMap(props map[string]Expr, row Row) (map[string]any, error) {
 	out := make(map[string]any, len(props))
 	for k, e := range props {
-		v, err := ex.ctx.eval(e, row)
+		v, err := w.se.ctx.eval(e, row)
 		if err != nil {
 			return nil, err
 		}
@@ -116,15 +179,15 @@ func (ex *executor) evalPropMap(props map[string]Expr, row Row) (map[string]any,
 
 // execMerge matches the pattern per row; on no match it creates the
 // whole pattern (Neo4j semantics for a fully-unbound MERGE pattern).
-func (ex *executor) execMerge(m *MergeClause) error {
+func (w *writeIter) execMerge(m *MergeClause) error {
 	for _, r := range m.Pattern.Rels {
 		if r.VarLength != nil {
 			return evalErrorf("MERGE cannot use variable-length relationships")
 		}
 	}
 	var out []Row
-	for _, row := range ex.rows {
-		matcher := &matcher{ctx: ex.ctx, usedRels: map[int64]bool{}}
+	for _, row := range w.rows {
+		matcher := &matcher{ctx: w.se.ctx, usedRels: map[int64]bool{}}
 		var matches []Row
 		err := matcher.match(m.Pattern, row, func(r Row) bool {
 			matches = append(matches, r)
@@ -135,7 +198,7 @@ func (ex *executor) execMerge(m *MergeClause) error {
 		}
 		if len(matches) > 0 {
 			for _, mr := range matches {
-				if err := ex.applySetItems(m.OnMatchSet, mr); err != nil {
+				if err := w.applySetItems(m.OnMatchSet, mr); err != nil {
 					return err
 				}
 				out = append(out, mr)
@@ -153,22 +216,21 @@ func (ex *executor) execMerge(m *MergeClause) error {
 				return evalErrorf("MERGE creation requires exactly one relationship type")
 			}
 		}
-		if err := ex.createMergePattern(m.Pattern, created); err != nil {
+		if err := w.createMergePattern(m.Pattern, created); err != nil {
 			return err
 		}
-		if err := ex.applySetItems(m.OnCreateSet, created); err != nil {
+		if err := w.applySetItems(m.OnCreateSet, created); err != nil {
 			return err
 		}
 		out = append(out, created)
 	}
-	ex.rows = out
-	ex.addScope(patternVars([]*Pattern{m.Pattern})...)
+	w.rows = out
 	return nil
 }
 
 // createMergePattern is createPattern but allows labels/props on bound
 // variables to be interpreted as constraints already satisfied.
-func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
+func (w *writeIter) createMergePattern(pat *Pattern, row Row) error {
 	nodes := make([]*graph.Node, len(pat.Nodes))
 	for i, np := range pat.Nodes {
 		if np.Var != "" {
@@ -181,24 +243,24 @@ func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
 				continue
 			}
 		}
-		props, err := ex.evalPropMap(np.Props, row)
+		props, err := w.evalPropMap(np.Props, row)
 		if err != nil {
 			return err
 		}
-		n, err := ex.ctx.g.CreateNode(np.Labels, props)
+		n, err := w.se.ctx.g.CreateNode(np.Labels, props)
 		if err != nil {
 			return err
 		}
-		ex.stats.NodesCreated++
-		ex.stats.PropertiesSet += len(props)
-		ex.stats.LabelsAdded += len(np.Labels)
+		w.se.stats.NodesCreated++
+		w.se.stats.PropertiesSet += len(props)
+		w.se.stats.LabelsAdded += len(np.Labels)
 		if np.Var != "" {
 			row[np.Var] = n
 		}
 		nodes[i] = n
 	}
 	for i, rp := range pat.Rels {
-		props, err := ex.evalPropMap(rp.Props, row)
+		props, err := w.evalPropMap(rp.Props, row)
 		if err != nil {
 			return err
 		}
@@ -206,12 +268,12 @@ func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
 		if rp.Direction == DirLeft {
 			start, end = end, start
 		}
-		r, err := ex.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
+		r, err := w.se.ctx.g.CreateRelationship(start.ID, end.ID, rp.Types[0], props)
 		if err != nil {
 			return err
 		}
-		ex.stats.RelationshipsCreated++
-		ex.stats.PropertiesSet += len(props)
+		w.se.stats.RelationshipsCreated++
+		w.se.stats.PropertiesSet += len(props)
 		if rp.Var != "" {
 			row[rp.Var] = r
 		}
@@ -219,16 +281,16 @@ func (ex *executor) createMergePattern(pat *Pattern, row Row) error {
 	return nil
 }
 
-func (ex *executor) execSet(items []*SetItem) error {
-	for _, row := range ex.rows {
-		if err := ex.applySetItems(items, row); err != nil {
+func (w *writeIter) execSet(items []*SetItem) error {
+	for _, row := range w.rows {
+		if err := w.applySetItems(items, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ex *executor) applySetItems(items []*SetItem, row Row) error {
+func (w *writeIter) applySetItems(items []*SetItem, row Row) error {
 	for _, it := range items {
 		v, bound := row[it.Var]
 		if !bound {
@@ -243,36 +305,36 @@ func (ex *executor) applySetItems(items []*SetItem, row Row) error {
 				return evalErrorf("cannot add labels to non-node `%s`", it.Var)
 			}
 			for _, l := range it.Labels {
-				if err := ex.ctx.g.AddNodeLabel(n.ID, l); err != nil {
+				if err := w.se.ctx.g.AddNodeLabel(n.ID, l); err != nil {
 					return err
 				}
-				ex.stats.LabelsAdded++
+				w.se.stats.LabelsAdded++
 			}
 			continue
 		}
-		val, err := ex.ctx.eval(it.Expr, row)
+		val, err := w.se.ctx.eval(it.Expr, row)
 		if err != nil {
 			return err
 		}
 		switch e := v.(type) {
 		case *graph.Node:
-			if err := ex.ctx.g.SetNodeProp(e.ID, it.Prop, val); err != nil {
+			if err := w.se.ctx.g.SetNodeProp(e.ID, it.Prop, val); err != nil {
 				return err
 			}
 		case *graph.Relationship:
-			if err := ex.ctx.g.SetRelProp(e.ID, it.Prop, val); err != nil {
+			if err := w.se.ctx.g.SetRelProp(e.ID, it.Prop, val); err != nil {
 				return err
 			}
 		default:
 			return evalErrorf("cannot SET property on %T", v)
 		}
-		ex.stats.PropertiesSet++
+		w.se.stats.PropertiesSet++
 	}
 	return nil
 }
 
-func (ex *executor) execRemove(rc *RemoveClause) error {
-	for _, row := range ex.rows {
+func (w *writeIter) execRemove(rc *RemoveClause) error {
+	for _, row := range w.rows {
 		for _, it := range rc.Items {
 			v, bound := row[it.Var]
 			if !bound {
@@ -287,92 +349,88 @@ func (ex *executor) execRemove(rc *RemoveClause) error {
 					return evalErrorf("cannot remove labels from non-node `%s`", it.Var)
 				}
 				for _, l := range it.Labels {
-					if err := ex.ctx.g.RemoveNodeLabel(n.ID, l); err != nil {
+					if err := w.se.ctx.g.RemoveNodeLabel(n.ID, l); err != nil {
 						return err
 					}
-					ex.stats.LabelsRemoved++
+					w.se.stats.LabelsRemoved++
 				}
 				continue
 			}
 			switch e := v.(type) {
 			case *graph.Node:
-				if err := ex.ctx.g.SetNodeProp(e.ID, it.Prop, nil); err != nil {
+				if err := w.se.ctx.g.SetNodeProp(e.ID, it.Prop, nil); err != nil {
 					return err
 				}
 			case *graph.Relationship:
-				if err := ex.ctx.g.SetRelProp(e.ID, it.Prop, nil); err != nil {
+				if err := w.se.ctx.g.SetRelProp(e.ID, it.Prop, nil); err != nil {
 					return err
 				}
 			default:
 				return evalErrorf("cannot REMOVE property from %T", v)
 			}
-			ex.stats.PropertiesSet++
+			w.se.stats.PropertiesSet++
 		}
 	}
 	return nil
 }
 
-func (ex *executor) execDelete(d *DeleteClause) error {
+// execDelete deletes the entities each expression yields. A list
+// yields its elements, and each element follows the same rules as a
+// single value: null is skipped, an entity already gone is skipped,
+// and a node with relationships needs DETACH.
+func (w *writeIter) execDelete(d *DeleteClause) error {
 	deletedNodes := map[int64]bool{}
 	deletedRels := map[int64]bool{}
-	for _, row := range ex.rows {
+	deleteOne := func(v graph.Value) error {
+		switch x := v.(type) {
+		case nil:
+			return nil
+		case *graph.Node:
+			if deletedNodes[x.ID] {
+				return nil
+			}
+			if err := w.se.ctx.g.DeleteNode(x.ID, d.Detach); err != nil {
+				if errors.Is(err, graph.ErrHasRels) {
+					return evalErrorf("cannot delete node %d with relationships; use DETACH DELETE", x.ID)
+				}
+				if errors.Is(err, graph.ErrNodeNotFound) {
+					return nil
+				}
+				return err
+			}
+			deletedNodes[x.ID] = true
+			w.se.stats.NodesDeleted++
+			return nil
+		case *graph.Relationship:
+			if deletedRels[x.ID] {
+				return nil
+			}
+			if err := w.se.ctx.g.DeleteRelationship(x.ID); err != nil {
+				if errors.Is(err, graph.ErrRelNotFound) {
+					return nil
+				}
+				return err
+			}
+			deletedRels[x.ID] = true
+			w.se.stats.RelationshipsDeleted++
+			return nil
+		}
+		return evalErrorf("cannot DELETE %T", v)
+	}
+	for _, row := range w.rows {
 		for _, e := range d.Exprs {
-			v, err := ex.ctx.eval(e, row)
+			v, err := w.se.ctx.eval(e, row)
 			if err != nil {
 				return err
 			}
-			switch x := v.(type) {
-			case nil:
-				continue
-			case *graph.Node:
-				if deletedNodes[x.ID] {
-					continue
-				}
-				if err := ex.ctx.g.DeleteNode(x.ID, d.Detach); err != nil {
-					if errors.Is(err, graph.ErrHasRels) {
-						return evalErrorf("cannot delete node %d with relationships; use DETACH DELETE", x.ID)
-					}
-					if errors.Is(err, graph.ErrNodeNotFound) {
-						continue
-					}
+			list, isList := v.([]graph.Value)
+			if !isList {
+				list = []graph.Value{v}
+			}
+			for _, el := range list {
+				if err := deleteOne(el); err != nil {
 					return err
 				}
-				deletedNodes[x.ID] = true
-				ex.stats.NodesDeleted++
-			case *graph.Relationship:
-				if deletedRels[x.ID] {
-					continue
-				}
-				if err := ex.ctx.g.DeleteRelationship(x.ID); err != nil {
-					if errors.Is(err, graph.ErrRelNotFound) {
-						continue
-					}
-					return err
-				}
-				deletedRels[x.ID] = true
-				ex.stats.RelationshipsDeleted++
-			case []graph.Value:
-				// DELETE over a collected list of entities.
-				for _, el := range x {
-					switch ee := el.(type) {
-					case *graph.Node:
-						if !deletedNodes[ee.ID] {
-							if err := ex.ctx.g.DeleteNode(ee.ID, d.Detach); err == nil {
-								deletedNodes[ee.ID] = true
-								ex.stats.NodesDeleted++
-							}
-						}
-					case *graph.Relationship:
-						if !deletedRels[ee.ID] {
-							if err := ex.ctx.g.DeleteRelationship(ee.ID); err == nil {
-								deletedRels[ee.ID] = true
-								ex.stats.RelationshipsDeleted++
-							}
-						}
-					}
-				}
-			default:
-				return evalErrorf("cannot DELETE %T", v)
 			}
 		}
 	}

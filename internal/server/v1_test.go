@@ -597,6 +597,56 @@ func TestV1CypherNDJSONTruncation(t *testing.T) {
 	}
 }
 
+// TestV1CypherNDJSONWriteErrorIsEnveloped pins the write contract of
+// the NDJSON transport: a write query applies its writes before the
+// response commits, so a failing write answers a clean 422 exec_error
+// envelope, never a 200 with an error trailer.
+func TestV1CypherNDJSONWriteErrorIsEnveloped(t *testing.T) {
+	s, _ := newTestServer(t)
+	rec := postWith(t, s.Handler(), "/v1/cypher",
+		`{"query": "CREATE (a)-[:R]-(b)"}`, "application/json", "application/x-ndjson")
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d body = %s, want 422", rec.Code, rec.Body.String())
+	}
+	if env := decodeEnvelope(t, rec.Body.Bytes()); env.Code != api.CodeExecError {
+		t.Fatalf("envelope = %+v, want code %s", env, api.CodeExecError)
+	}
+}
+
+// TestV1CypherNDJSONWriteStats checks a successful NDJSON write query
+// streams its rows and reports the write stats in the trailer.
+func TestV1CypherNDJSONWriteStats(t *testing.T) {
+	s, _ := newTestServer(t)
+	rec := postWith(t, s.Handler(), "/v1/cypher",
+		`{"query": "UNWIND range(1, 3) AS i CREATE (n:NDJSONWrite {i: i}) RETURN n.i"}`,
+		"application/json", "application/x-ndjson")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
+	}
+	var rows int
+	var trailer *api.StreamRecord
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		var r api.StreamRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		switch r.Type {
+		case api.RecordRow:
+			rows++
+		case api.RecordTrailer:
+			rec := r
+			trailer = &rec
+		}
+	}
+	if rows != 3 {
+		t.Errorf("rows = %d, want 3", rows)
+	}
+	want := api.WriteStats{NodesCreated: 3, PropertiesSet: 3, LabelsAdded: 3}
+	if trailer == nil || trailer.Error != nil || trailer.Stats == nil || *trailer.Stats != want {
+		t.Fatalf("trailer = %+v, want stats %+v", trailer, want)
+	}
+}
+
 // TestV1CypherNDJSONMidStreamError checks a failure after the 200 is
 // committed arrives as a trailer error record rather than a truncated
 // or silently-complete stream.
