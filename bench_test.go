@@ -402,6 +402,7 @@ func BenchmarkStreamingLimitedScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := pq.Execute(g, nil, cypher.Options{})
@@ -426,6 +427,7 @@ func BenchmarkStreamingTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := pq.Execute(g, nil, cypher.Options{})

@@ -14,6 +14,11 @@ type Query struct {
 	// Unions holds the queries joined to this one with UNION; the
 	// executor concatenates their results (deduplicating unless All).
 	Unions []*UnionPart
+
+	// layout numbers the query's names into frame slots (see
+	// slots.go); Parse builds it, and UNION parts share their top-level
+	// query's layout.
+	layout *slotLayout
 }
 
 // UnionPart is one UNION [ALL] continuation.
@@ -55,6 +60,7 @@ type MatchClause struct {
 type UnwindClause struct {
 	Expr  Expr
 	Alias string
+	slot  int
 }
 
 // WithClause is WITH items [WHERE] [ORDER BY] [SKIP] [LIMIT].
@@ -100,6 +106,7 @@ type SetItem struct {
 	Prop   string
 	Labels []string
 	Expr   Expr
+	slot   int
 }
 
 // RemoveClause is REMOVE items (properties or labels).
@@ -112,6 +119,7 @@ type RemoveItem struct {
 	Var    string
 	Prop   string
 	Labels []string
+	slot   int
 }
 
 // DeleteClause is [DETACH] DELETE exprs.
@@ -156,9 +164,10 @@ type SortItem struct {
 // Pattern is a path pattern: alternating node and relationship elements,
 // optionally bound to a path variable (p = (a)-[r]->(b)).
 type Pattern struct {
-	PathVar string
-	Nodes   []*NodePattern // len(Nodes) == len(Rels)+1
-	Rels    []*RelPattern
+	PathVar  string
+	Nodes    []*NodePattern // len(Nodes) == len(Rels)+1
+	Rels     []*RelPattern
+	pathSlot int // -1 without a path variable
 }
 
 // NodePattern is (var:Label1:Label2 {prop: expr}).
@@ -166,6 +175,7 @@ type NodePattern struct {
 	Var    string
 	Labels []string
 	Props  map[string]Expr
+	slot   int // -1 for an anonymous node
 }
 
 // RelPattern is -[var:TYPE1|TYPE2 {prop: expr} *min..max]-> with a
@@ -176,6 +186,7 @@ type RelPattern struct {
 	Props     map[string]Expr
 	Direction RelDirection
 	VarLength *VarLengthRange
+	slot      int // -1 for an anonymous relationship
 }
 
 // RelDirection is the arrow orientation in the pattern text.
@@ -202,7 +213,10 @@ type Expr interface{ exprNode() }
 type Literal struct{ Value any }
 
 // Variable references a bound name.
-type Variable struct{ Name string }
+type Variable struct {
+	Name string
+	slot int
+}
 
 // Parameter references $name, resolved from the execution parameters.
 type Parameter struct{ Name string }
@@ -274,6 +288,7 @@ type ListComprehension struct {
 	List  Expr
 	Where Expr // nil when absent
 	Proj  Expr // nil means the variable itself
+	slot  int
 }
 
 // QuantifiedExpr is any/all/none/single(var IN list WHERE pred).
@@ -282,6 +297,7 @@ type QuantifiedExpr struct {
 	Var   string
 	List  Expr
 	Where Expr
+	slot  int
 }
 
 // ExistsExpr is exists((pattern)) / exists(prop) — pattern existence or

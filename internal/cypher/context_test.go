@@ -23,7 +23,9 @@ func slowFixture(t testing.TB, n int) *graph.Graph {
 
 // slowQuery is a three-way cross product with a blocking aggregate:
 // every row flows through match iterators into the aggregate drain.
-// n=60 gives 216k rows — noticeable work, far below MaxRows.
+// n=60 gives 216k rows — noticeable work, far below MaxRows; the
+// mid-run cancellation tests use n=150 (3.4M rows), so the query is
+// still running when their 25ms cancel fires.
 const slowQuery = "MATCH (a:N) MATCH (b:N) MATCH (c:N) RETURN count(*)"
 
 func TestExecuteContextPreCanceled(t *testing.T) {
@@ -59,7 +61,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 // the executor stops within a small wall-clock bound — far less than
 // the uncancelled runtime — and report an error matching ErrCanceled.
 func TestCancelMidScanAbortsEarly(t *testing.T) {
-	g := slowFixture(t, 60)
+	g := slowFixture(t, 150)
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -91,7 +93,7 @@ func TestCancelMidScanAbortsEarly(t *testing.T) {
 // barrier drains the input: the query aborts with ErrCanceled before
 // the clause's first write.
 func TestCancelWriteQueryAppliesNoWrites(t *testing.T) {
-	g := slowFixture(t, 60)
+	g := slowFixture(t, 150)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(25 * time.Millisecond)

@@ -10,17 +10,6 @@ import (
 	"chatiyp/internal/graph"
 )
 
-// Row is one binding table row: variable name → value.
-type Row map[string]graph.Value
-
-func (r Row) clone() Row {
-	out := make(Row, len(r)+2)
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
-
 // evalCtx carries everything expression evaluation needs: the graph (for
 // pattern predicates), the parameters, and executor options.
 type evalCtx struct {
@@ -37,6 +26,12 @@ type evalCtx struct {
 	// hints); nil for ad-hoc execution, which plans each MATCH on the
 	// fly.
 	plan *queryPlan
+	// width is the pipeline frame width of the query's slot layout and
+	// scopeWidth the width of its ORDER BY scope frames (see
+	// slotLayout); frames is the slab new frames are carved from.
+	width      int
+	scopeWidth int
+	frames     rowSlab
 	// ctx is the execution's cancellation context (nil means
 	// uncancelable); cancelSteps counts executor steps toward the next
 	// periodic poll (see checkCancel in context.go).
@@ -63,7 +58,7 @@ func (c *evalCtx) eval(e Expr, row Row) (graph.Value, error) {
 	case *Literal:
 		return graph.NormalizeValue(x.Value)
 	case *Variable:
-		v, ok := row[x.Name]
+		v, ok := row.get(x.slot)
 		if !ok {
 			return nil, evalErrorf("variable `%s` not defined", x.Name)
 		}
@@ -567,7 +562,9 @@ func (c *evalCtx) evalListComprehension(x *ListComprehension, row Row) (graph.Va
 	if !ok {
 		return nil, evalErrorf("list comprehension over non-list %T", lv)
 	}
-	inner := row.clone()
+	inner := widenFor(row, x.slot)
+	saved := inner[x.slot]
+	defer func() { inner[x.slot] = saved }()
 	var out []graph.Value
 	for _, el := range list {
 		// One eval step per element: comprehensions over large lists
@@ -575,7 +572,7 @@ func (c *evalCtx) evalListComprehension(x *ListComprehension, row Row) (graph.Va
 		if err := c.checkCancel(); err != nil {
 			return nil, err
 		}
-		inner[x.Var] = el
+		inner[x.slot] = el
 		if x.Where != nil {
 			pass, err := c.eval(x.Where, inner)
 			if err != nil {
@@ -613,13 +610,15 @@ func (c *evalCtx) evalQuantified(x *QuantifiedExpr, row Row) (graph.Value, error
 	if !ok {
 		return nil, evalErrorf("%s() over non-list %T", x.Kind, lv)
 	}
-	inner := row.clone()
+	inner := widenFor(row, x.slot)
+	saved := inner[x.slot]
+	defer func() { inner[x.slot] = saved }()
 	matches := 0
 	for _, el := range list {
 		if err := c.checkCancel(); err != nil {
 			return nil, err
 		}
-		inner[x.Var] = el
+		inner[x.slot] = el
 		pass, err := c.eval(x.Where, inner)
 		if err != nil {
 			return nil, err
@@ -641,10 +640,24 @@ func (c *evalCtx) evalQuantified(x *QuantifiedExpr, row Row) (graph.Value, error
 	return nil, evalErrorf("unknown quantifier %s", x.Kind)
 }
 
+// widenFor returns row, or a copy widened to hold slot when row is too
+// short (the empty frame of a SKIP or LIMIT expression). A
+// comprehension binds its variable in place, shadowing any outer
+// binding of the same name, and puts the outer value back when done.
+func widenFor(row Row, slot int) Row {
+	if slot < len(row) {
+		return row
+	}
+	wide := make(Row, slot+1)
+	copy(wide, row)
+	wide[len(row):].unbindAll()
+	return wide
+}
+
 // patternExists evaluates a pattern predicate: true when at least one
 // match of the pattern extends the current row.
 func (c *evalCtx) patternExists(pat *Pattern, row Row) (graph.Value, error) {
-	m := &matcher{ctx: c, usedRels: map[int64]bool{}}
+	m := newMatcher(c, nil)
 	found := false
 	err := m.match(pat, row, func(Row) bool {
 		found = true

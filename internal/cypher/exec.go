@@ -11,9 +11,9 @@ import (
 // This file is the package's execution entry points. There is one
 // executor: every query — reads and writes alike — is planned into
 // the operator pipeline of stages.go, and Execute builds the query's
-// Stream (stream_api.go) and drains it into a Result. The projection
-// helpers below (grouping, aggregation, ORDER BY keys) are shared by
-// the serial operators and the parallel morsel workers.
+// Stream (stream_api.go) and drains it into a Result. The ORDER BY
+// helpers below are shared by the serial operators and the parallel
+// morsel workers.
 
 // Options tunes query execution.
 type Options struct {
@@ -156,150 +156,87 @@ func executeQueryPlanned(ctx context.Context, g *graph.Graph, q *Query, plan *qu
 // scoping (underlying variables remain visible when no aggregation
 // collapsed them).
 type projected struct {
-	row    Row // projected values keyed by column name
-	source Row // nil when aggregation/distinct severed the source scope
+	row    Row // projected values in column order
+	source Row // the input frame; nil when aggregation/distinct severed the source scope
 }
 
-func rowKey(row Row, cols []string) string {
-	vals := make([]graph.Value, len(cols))
-	for i, c := range cols {
-		vals[i] = row[c]
-	}
-	return graph.ValueKey(vals)
+// orderSpec is one projection's planned ORDER BY: the sort items, the
+// projected column each item names (-1 when it is an expression over
+// the scope), and the slots of the projected columns, from which the
+// scope frame is rebuilt.
+type orderSpec struct {
+	items    []*SortItem
+	cols     []int
+	colSlots []int
 }
 
-// aggregateRows groups the binding table by the non-aggregate
-// projection items (first-seen group order) and evaluates one output
-// row per group: the body of the aggregating projection operator.
-func aggregateRows(ctx *evalCtx, rows []Row, items []*ReturnItem, cols []string) ([]projected, error) {
-	groups, order, err := groupRows(ctx, rows, items)
-	if err != nil {
-		return nil, err
-	}
-	var out []projected
-	for _, key := range order {
-		g := groups[key]
-		row := make(Row, len(items))
-		for i, it := range items {
-			var v graph.Value
-			var err error
-			if containsAggregate(it.Expr) {
-				v, err = evalAggExpr(ctx, it.Expr, g)
-			} else {
-				v, err = ctx.eval(it.Expr, g[0])
+// newOrderSpec resolves ORDER BY items against the projected columns.
+// An item that textually matches a column (alias or identical
+// expression) sorts on the projected value — this is what makes
+// RETURN DISTINCT c.x ORDER BY c.x legal after the underlying scope is
+// severed.
+func newOrderSpec(items []*SortItem, cols []string, colSlots []int) *orderSpec {
+	o := &orderSpec{items: items, cols: make([]int, len(items)), colSlots: colSlots}
+	for j, si := range items {
+		o.cols[j] = -1
+		name := ExprString(si.Expr)
+		for i, c := range cols {
+			if c == name {
+				o.cols[j] = i
+				break
 			}
-			if err != nil {
-				return nil, err
-			}
-			row[cols[i]] = v
 		}
-		out = append(out, projected{row: row})
 	}
-	return out, nil
+	return o
 }
 
-// groupRows buckets the binding table by the values of the non-aggregate
-// projection items, preserving first-seen group order.
-func groupRows(ctx *evalCtx, rows []Row, items []*ReturnItem) (map[string][]Row, []string, error) {
-	var keyExprs []Expr
-	for _, it := range items {
-		if !containsAggregate(it.Expr) {
-			keyExprs = append(keyExprs, it.Expr)
-		}
-	}
-	groups := make(map[string][]Row)
-	var order []string
-	for _, row := range rows {
-		if err := ctx.checkCancel(); err != nil {
-			return nil, nil, err
-		}
-		keyVals := make([]graph.Value, len(keyExprs))
-		for i, e := range keyExprs {
-			v, err := ctx.eval(e, row)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyVals[i] = v
-		}
-		key := graph.ValueKey(keyVals)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], row)
-	}
-	// A pure-aggregate projection over zero rows still yields one group
-	// (count(*) over nothing is 0).
-	if len(rows) == 0 && len(keyExprs) == 0 {
-		groups[""] = nil
-		order = append(order, "")
-	}
-	return groups, order, nil
-}
-
-// sortKeyScope is the row ORDER BY expressions evaluate against: the
-// projected values, overlaid on the source row when the source scope
-// survived projection.
-func sortKeyScope(pr projected) Row {
-	if pr.source == nil {
-		return pr.row
-	}
-	scope := pr.source.clone()
-	for k, v := range pr.row {
-		scope[k] = v
-	}
-	return scope
-}
-
-// sortKeysFor computes the ORDER BY key tuple of one projected row.
-// An ORDER BY expression that textually matches a projected column
-// (alias or identical expression) sorts on the projected value — this
-// is what makes RETURN DISTINCT c.x ORDER BY c.x legal after the
-// underlying scope is severed.
-func sortKeysFor(ctx *evalCtx, pr projected, orderBy []*SortItem, colSet map[string]bool) ([]graph.Value, error) {
-	var scope Row
-	keys := make([]graph.Value, len(orderBy))
-	for j, si := range orderBy {
-		if name := ExprString(si.Expr); colSet[name] {
-			keys[j] = pr.row[name]
+// keysFor computes the ORDER BY key tuple of one projected row into
+// keys. Items that are not columns evaluate against the projected
+// values overlaid on the source row when the source scope survived
+// projection; *scope is the scratch frame that overlay is built in.
+func (o *orderSpec) keysFor(ctx *evalCtx, pr projected, keys []graph.Value, scope *Row) error {
+	built := false
+	for j, si := range o.items {
+		if c := o.cols[j]; c >= 0 {
+			keys[j] = pr.row[c]
 			continue
 		}
-		if scope == nil {
-			scope = sortKeyScope(pr)
+		if !built {
+			if *scope == nil {
+				*scope = make(Row, ctx.scopeWidth)
+			}
+			sc := *scope
+			n := copy(sc, pr.source)
+			sc[n:].unbindAll()
+			for i, s := range o.colSlots {
+				sc[s] = pr.row[i]
+			}
+			built = true
 		}
-		v, err := ctx.eval(si.Expr, scope)
-		if err != nil {
-			return nil, err
-		}
-		keys[j] = v
-	}
-	return keys, nil
-}
-
-func colSetOf(cols []string) map[string]bool {
-	set := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		set[c] = true
-	}
-	return set
-}
-
-// sortProjectedRows stable-sorts rows in place on the ORDER BY keys.
-func sortProjectedRows(ctx *evalCtx, rows []projected, orderBy []*SortItem, cols []string) error {
-	colSet := colSetOf(cols)
-	type keyed struct {
-		pr   projected
-		keys []graph.Value
-	}
-	ks := make([]keyed, len(rows))
-	for i, pr := range rows {
-		keys, err := sortKeysFor(ctx, pr, orderBy, colSet)
+		v, err := ctx.eval(si.Expr, *scope)
 		if err != nil {
 			return err
 		}
-		ks[i] = keyed{pr: pr, keys: keys}
+		keys[j] = v
+	}
+	return nil
+}
+
+// sortRows stable-sorts rows in place on the ORDER BY keys.
+func (o *orderSpec) sortRows(ctx *evalCtx, rows []projected) error {
+	nk := len(o.items)
+	ks := make([]keyedRow, len(rows))
+	keys := make([]graph.Value, len(rows)*nk)
+	var scope Row
+	for i, pr := range rows {
+		k := keys[i*nk : (i+1)*nk : (i+1)*nk]
+		if err := o.keysFor(ctx, pr, k, &scope); err != nil {
+			return err
+		}
+		ks[i] = keyedRow{pr: pr, keys: k}
 	}
 	sort.SliceStable(ks, func(a, b int) bool {
-		for j, si := range orderBy {
+		for j, si := range o.items {
 			ka, kb := ks[a].keys[j], ks[b].keys[j]
 			if graph.TotalLess(ka, kb) {
 				return !si.Desc

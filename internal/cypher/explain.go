@@ -37,7 +37,7 @@ func describeAll(g *graph.Graph, q *Query, opts Options) (string, error) {
 		b.WriteString(" (write barriers; reads see the query's own writes)")
 	}
 	b.WriteString("\n")
-	renderStages(&b, g, plan.parts[0], opts)
+	renderStages(&b, g, plan.layout, plan.parts[0], opts)
 	for i, part := range q.Unions {
 		kind := "UNION"
 		if part.All {
@@ -48,14 +48,14 @@ func describeAll(g *graph.Graph, q *Query, opts Options) (string, error) {
 			dedup = ""
 		}
 		fmt.Fprintf(&b, "%s (part %d)%s\n", kind, i+2, dedup)
-		renderStages(&b, g, plan.parts[i+1], opts)
+		renderStages(&b, g, plan.layout, plan.parts[i+1], opts)
 	}
 	return b.String(), nil
 }
 
 // renderStages walks one part's operator chain from the seed to the
 // output and renders each operator with its planning decisions.
-func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Options) {
+func renderStages(b *strings.Builder, g *graph.Graph, l *slotLayout, sp *stagePlan, opts Options) {
 	// Collect the chain in execution order (seed first).
 	var chain []*stage
 	for s := sp.root; s != nil; s = s.input {
@@ -64,7 +64,7 @@ func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Option
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
-	ctx := &evalCtx{g: g, r: g, opts: opts}
+	ctx := &evalCtx{g: g, r: g, opts: opts, width: l.frameWidth, scopeWidth: l.width()}
 	bound := map[string]bool{}
 	for _, s := range chain {
 		switch s.kind {
@@ -76,10 +76,10 @@ func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Option
 			if x.Optional {
 				kw = "OPTIONAL MATCH"
 			}
-			m := &matcher{ctx: ctx, usedRels: map[int64]bool{}, hints: s.hints}
+			m := newMatcher(ctx, s.hints)
 			for _, pat := range x.Patterns {
 				fmt.Fprintf(b, "%s %s\n", kw, PatternString(pat))
-				anchor := pickAnchorWithBound(m, pat, bound)
+				anchor := pickAnchorWithBound(m, l, pat, bound)
 				np := pat.Nodes[anchor]
 				fmt.Fprintf(b, "  anchor: node %d %s via %s\n",
 					anchor, nodePatternLabel(np), accessPath(g, np, bound, s.hints, opts))
@@ -125,10 +125,10 @@ func renderStages(b *strings.Builder, g *graph.Graph, sp *stagePlan, opts Option
 		case stageDistinct:
 			fmt.Fprintf(b, "  distinct\n")
 		case stageSort:
-			fmt.Fprintf(b, "  sort: %d key(s)\n", len(s.orderBy))
+			fmt.Fprintf(b, "  sort: %d key(s)\n", len(s.order.items))
 		case stageTopK:
 			fmt.Fprintf(b, "  top-k sort: %d key(s), keep %s row(s)\n",
-				len(s.orderBy), skipLimitString(s.skipE, s.limitE))
+				len(s.order.items), skipLimitString(s.skipE, s.limitE))
 		case stageSkip:
 			fmt.Fprintf(b, "  skip: %s\n", ExprString(s.skipE))
 		case stageLimit:
@@ -162,8 +162,8 @@ func renderParallelDecision(b *strings.Builder, ctx *evalCtx, s *stage, opts Opt
 		msize = defaultParallelMorselSize
 	}
 	pat := s.match.Patterns[0]
-	m := &matcher{ctx: ctx, usedRels: map[int64]bool{}, hints: s.hints}
-	anchor := m.pickAnchor(pat, Row{})
+	m := newMatcher(ctx, s.hints)
+	anchor := m.pickAnchor(pat, nil)
 	est := estimateAnchorRows(m, pat.Nodes[anchor])
 	switch {
 	case force:
@@ -184,7 +184,7 @@ func renderParallelDecision(b *strings.Builder, ctx *evalCtx, s *stage, opts Opt
 // resolved statically (e.g. a parameterized index probe) estimate as a
 // single-row point lookup.
 func estimateAnchorRows(m *matcher, np *NodePattern) int {
-	cands, err := m.anchorCandidates(np, Row{})
+	cands, err := m.anchorCandidates(np, nil)
 	if err != nil {
 		return 1
 	}
@@ -234,10 +234,12 @@ func writeClauseVars(cl Clause) []string {
 
 // pickAnchorWithBound mirrors the matcher's anchor choice against a
 // statically-known bound-variable set.
-func pickAnchorWithBound(m *matcher, pat *Pattern, bound map[string]bool) int {
-	row := Row{}
+func pickAnchorWithBound(m *matcher, l *slotLayout, pat *Pattern, bound map[string]bool) int {
+	row := m.ctx.newFrame()
 	for v := range bound {
-		row[v] = &graph.Node{} // placeholder: presence is what matters
+		if s := l.slot(v); s >= 0 && s < len(row) {
+			row[s] = &graph.Node{} // placeholder: presence is what matters
+		}
 	}
 	return m.pickAnchor(pat, row)
 }

@@ -7,9 +7,16 @@ import (
 // matcher enumerates pattern matches against the graph. A single matcher
 // instance spans one MATCH clause so relationship-uniqueness (openCypher
 // relationship isomorphism) holds across all its patterns.
+//
+// Matching binds into one work frame per match state: binding a
+// variable stores into its slot and unbinding stores the unbound
+// marker back, so enumeration itself allocates nothing per binding.
+// Only a complete match that the consumer keeps is copied out.
 type matcher struct {
-	ctx      *evalCtx
-	usedRels map[int64]bool
+	ctx *evalCtx
+	// usedRels is the stack of relationships bound along the current
+	// path; patterns are short, so a linear scan beats a set.
+	usedRels []int64
 	// hints are the WHERE-derived equality predicates of the enclosing
 	// MATCH clause (see plan.go); they let anchorCandidates serve the
 	// anchor from a property index instead of a label scan. nil is
@@ -17,9 +24,23 @@ type matcher struct {
 	hints matchHints
 }
 
+func newMatcher(ctx *evalCtx, hints matchHints) *matcher {
+	return &matcher{ctx: ctx, hints: hints}
+}
+
+func (m *matcher) relUsed(id int64) bool {
+	for _, u := range m.usedRels {
+		if u == id {
+			return true
+		}
+	}
+	return false
+}
+
 // match enumerates every extension of row that satisfies pat, invoking
 // emit for each complete match. emit returning false stops enumeration
-// early. The row passed to emit is a fresh copy.
+// early. The frame passed to emit is the matcher's work frame: emit
+// must copy it to keep it.
 func (m *matcher) match(pat *Pattern, row Row, emit func(Row) bool) error {
 	if len(pat.Nodes) == 0 {
 		return evalErrorf("empty pattern")
@@ -29,17 +50,13 @@ func (m *matcher) match(pat *Pattern, row Row, emit func(Row) bool) error {
 	if err != nil {
 		return err
 	}
-	state := &matchState{
-		pat:      pat,
-		nodes:    make([]*graph.Node, len(pat.Nodes)),
-		relBinds: make([]relBinding, len(pat.Rels)),
-	}
+	state := m.newState(pat, anchor, len(row), emit)
 	for i := 0; i < candidates.len(); i++ {
 		cand := candidates.at(m.ctx.r, i)
 		if cand == nil {
 			continue
 		}
-		cont, err := m.matchCandidate(state, anchor, cand, row, emit)
+		cont, err := m.matchCandidate(state, cand, row)
 		if err != nil {
 			return err
 		}
@@ -50,47 +67,79 @@ func (m *matcher) match(pat *Pattern, row Row, emit func(Row) bool) error {
 	return nil
 }
 
+// matchState records the concrete entities bound at each pattern
+// position so named paths can be reconstructed in pattern order, plus
+// the work frame every binding of the pattern goes into.
+type matchState struct {
+	m        *matcher
+	pat      *Pattern
+	anchor   int
+	emit     func(Row) bool
+	nodes    []*graph.Node
+	relBinds []relBinding
+	hops     []hop
+	work     Row
+}
+
+// newState prepares matching pat from anchor; rowWidth is the width of
+// the rows it will extend.
+func (m *matcher) newState(pat *Pattern, anchor, rowWidth int, emit func(Row) bool) *matchState {
+	width := m.ctx.width
+	if rowWidth > width {
+		width = rowWidth
+	}
+	st := &matchState{
+		m:        m,
+		pat:      pat,
+		anchor:   anchor,
+		emit:     emit,
+		nodes:    make([]*graph.Node, len(pat.Nodes)),
+		relBinds: make([]relBinding, len(pat.Rels)),
+		hops:     make([]hop, len(pat.Rels)),
+		work:     make(Row, width),
+	}
+	for i := range st.hops {
+		h := &st.hops[i]
+		h.st, h.pos, h.forward = st, i, i >= anchor
+		h.visit = h.step
+	}
+	return st
+}
+
 // matchCandidate enumerates every complete match of state.pat that
 // anchors on cand at the anchor position, extending row. It is the
 // per-candidate slice of match(), split out so the streaming executor
 // can pull candidate-by-candidate and stop a scan early. Returns false
 // when emit requested a stop.
-func (m *matcher) matchCandidate(state *matchState, anchor int, cand *graph.Node, row Row, emit func(Row) bool) (bool, error) {
+func (m *matcher) matchCandidate(state *matchState, cand *graph.Node, row Row) (bool, error) {
 	// One step per anchor candidate: a canceled context stops a label
 	// or full scan within cancelCheckInterval candidates.
 	if err := m.ctx.checkCancel(); err != nil {
 		return false, err
 	}
-	pat := state.pat
-	work := row.clone()
-	ok, undo, err := m.bindNode(pat.Nodes[anchor], cand, work)
-	if err != nil {
-		return false, err
+	work := state.work
+	n := copy(work, row)
+	work[n:].unbindAll()
+	ok, _, err := m.bindNode(state.pat.Nodes[state.anchor], cand, work)
+	if err != nil || !ok {
+		return err == nil, err
 	}
-	if !ok {
-		return true, nil
-	}
-	state.nodes[anchor] = cand
-	cont, err := m.expandFrom(state, anchor, work, func(final Row) bool {
-		if pat.PathVar != "" {
-			final = final.clone()
-			final[pat.PathVar] = state.buildPath()
-		}
-		return emit(final.clone())
-	})
-	if err != nil {
-		return false, err
-	}
-	undo(work)
-	return cont, nil
+	state.nodes[state.anchor] = cand
+	return m.expandRight(state, state.anchor)
 }
 
-// matchState records the concrete entities bound at each pattern
-// position so named paths can be reconstructed in pattern order.
-type matchState struct {
-	pat      *Pattern
-	nodes    []*graph.Node
-	relBinds []relBinding
+// emitMatch hands one complete match to the consumer, with the named
+// path bound for the duration of the call.
+func (s *matchState) emitMatch() bool {
+	slot := s.pat.pathSlot
+	if slot < 0 {
+		return s.emit(s.work)
+	}
+	saved := s.work[slot]
+	s.work[slot] = s.buildPath()
+	keep := s.emit(s.work)
+	s.work[slot] = saved
+	return keep
 }
 
 // relBinding is the concrete traversal of one relationship position:
@@ -121,145 +170,172 @@ func (s *matchState) buildPath() graph.Path {
 	return p
 }
 
-// expandFrom matches the remaining pattern positions: rightward from the
-// anchor to the end, then leftward back to the start. Returns false when
-// the emit callback requested a stop.
-func (m *matcher) expandFrom(state *matchState, anchor int, row Row, emit func(Row) bool) (bool, error) {
-	return m.expandRight(state, anchor, anchor, row, emit)
-}
-
-func (m *matcher) expandRight(state *matchState, anchor, pos int, row Row, emit func(Row) bool) (bool, error) {
+// expandRight matches the pattern positions right of pos, then walks
+// leftward from the anchor back to the start. Returns false when the
+// emit callback requested a stop.
+func (m *matcher) expandRight(state *matchState, pos int) (bool, error) {
 	if pos == len(state.pat.Nodes)-1 {
-		return m.expandLeft(state, anchor, row, emit)
+		return m.expandLeft(state, state.anchor)
 	}
-	rel := state.pat.Rels[pos]
-	return m.traverse(state, row, rel, pos, state.nodes[pos], state.pat.Nodes[pos+1], true,
-		func(row Row, other *graph.Node) (bool, error) {
-			state.nodes[pos+1] = other
-			return m.expandRight(state, anchor, pos+1, row, emit)
-		})
+	return m.traverse(state, pos, state.nodes[pos])
 }
 
-func (m *matcher) expandLeft(state *matchState, pos int, row Row, emit func(Row) bool) (bool, error) {
+func (m *matcher) expandLeft(state *matchState, pos int) (bool, error) {
 	if pos == 0 {
-		return emit(row), nil
+		return state.emitMatch(), nil
 	}
-	rel := state.pat.Rels[pos-1]
-	return m.traverse(state, row, rel, pos-1, state.nodes[pos], state.pat.Nodes[pos-1], false,
-		func(row Row, other *graph.Node) (bool, error) {
-			state.nodes[pos-1] = other
-			return m.expandLeft(state, pos-1, row, emit)
-		})
+	return m.traverse(state, pos-1, state.nodes[pos])
 }
 
-// traverse enumerates (relationship, other-node) continuations from
-// current across one pattern relationship. forward reports whether we
-// walk the pattern left-to-right at this position; the pattern arrow is
-// interpreted relative to that.
-func (m *matcher) traverse(state *matchState, row Row, rp *RelPattern, relPos int,
-	current *graph.Node, targetNP *NodePattern, forward bool,
-	cont func(Row, *graph.Node) (bool, error)) (bool, error) {
+// traverse enumerates the continuations across relationship position
+// relPos from current: rightward when relPos lies right of the anchor,
+// leftward otherwise.
+func (m *matcher) traverse(state *matchState, relPos int, current *graph.Node) (bool, error) {
+	h := &state.hops[relPos]
+	rp := state.pat.Rels[relPos]
 	if rp.VarLength != nil {
-		return m.traverseVarLength(state, row, rp, relPos, current, targetNP, forward, cont)
+		return m.traverseVarLength(state, h, current)
 	}
-	dir := traversalDirection(rp.Direction, forward)
 	// Expansion iterates the reader's pre-bucketed adjacency in place:
 	// one callback per candidate relationship, no per-hop slices, maps
 	// or sorting (see graph.View.IncidentDo).
-	var stepErr error
-	completed := m.ctx.r.IncidentDo(current.ID, dir, rp.Types, func(r *graph.Relationship) bool {
-		if m.usedRels[r.ID] {
-			return true
-		}
-		ok, err := m.relPropsMatch(rp, r, row)
-		if err != nil {
-			stepErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		var otherID int64
-		if r.StartID == current.ID {
-			otherID = r.EndID // covers self-loops too
-		} else {
-			otherID = r.StartID
-		}
-		other := m.ctx.r.Node(otherID)
-		if other == nil {
-			return true
-		}
-		okNode, undoNode, err := m.bindNode(targetNP, other, row)
-		if err != nil {
-			stepErr = err
-			return false
-		}
-		if !okNode {
-			return true
-		}
-		okRel, undoRel, err := m.bindRel(rp, r, row)
-		if err != nil {
-			stepErr = err
-			return false
-		}
-		if !okRel {
-			undoNode(row)
-			return true
-		}
-		m.usedRels[r.ID] = true
-		state.relBinds[relPos] = relBinding{single: r}
-		keep, err := cont(row, other)
-		delete(m.usedRels, r.ID)
-		undoRel(row)
-		undoNode(row)
-		if err != nil {
-			stepErr = err
-			return false
-		}
-		return keep
-	})
-	if stepErr != nil {
-		return false, stepErr
+	h.from, h.err = current, nil
+	completed := m.ctx.r.IncidentDo(current.ID, traversalDirection(rp.Direction, h.forward), rp.Types, h.visit)
+	if h.err != nil {
+		return false, h.err
 	}
 	return completed, nil
 }
 
+// hop is one relationship position of a match state, walked away from
+// the anchor. visit is its IncidentDo callback, bound once per state,
+// so expansion allocates no closure per traversed relationship. A hop
+// is never re-entered while active: the walk visits each position once
+// per path.
+type hop struct {
+	st      *matchState
+	pos     int  // relationship position in the pattern
+	forward bool // walking left-to-right (the position lies right of the anchor)
+	from    *graph.Node
+	err     error
+	visit   func(*graph.Relationship) bool
+}
+
+// target is the node position the hop walks to.
+func (h *hop) target() int {
+	if h.forward {
+		return h.pos + 1
+	}
+	return h.pos
+}
+
+// next continues the walk from the hop's target position.
+func (h *hop) next() (bool, error) {
+	if h.forward {
+		return h.st.m.expandRight(h.st, h.pos+1)
+	}
+	return h.st.m.expandLeft(h.st, h.pos)
+}
+
+func (h *hop) step(r *graph.Relationship) bool {
+	st, m := h.st, h.st.m
+	rp := st.pat.Rels[h.pos]
+	row := st.work
+	if m.relUsed(r.ID) {
+		return true
+	}
+	ok, err := m.relPropsMatch(rp, r, row)
+	if err != nil {
+		h.err = err
+		return false
+	}
+	if !ok {
+		return true
+	}
+	otherID := r.StartID
+	if r.StartID == h.from.ID {
+		otherID = r.EndID // covers self-loops too
+	}
+	other := m.ctx.r.Node(otherID)
+	if other == nil {
+		return true
+	}
+	np := st.pat.Nodes[h.target()]
+	okNode, setNode, err := m.bindNode(np, other, row)
+	if err != nil {
+		h.err = err
+		return false
+	}
+	if !okNode {
+		return true
+	}
+	okRel, setRel, err := m.bindRel(rp, r, row)
+	if err != nil {
+		h.err = err
+		return false
+	}
+	if !okRel {
+		if setNode {
+			row[np.slot] = unbound
+		}
+		return true
+	}
+	m.usedRels = append(m.usedRels, r.ID)
+	st.relBinds[h.pos] = relBinding{single: r}
+	st.nodes[h.target()] = other
+	keep, err := h.next()
+	m.usedRels = m.usedRels[:len(m.usedRels)-1]
+	if setRel {
+		row[rp.slot] = unbound
+	}
+	if setNode {
+		row[np.slot] = unbound
+	}
+	if err != nil {
+		h.err = err
+		return false
+	}
+	return keep
+}
+
 // traverseVarLength enumerates simple relationship chains of length
 // [min, max] (max capped by Options.MaxVarLength when unbounded).
-func (m *matcher) traverseVarLength(state *matchState, row Row, rp *RelPattern, relPos int,
-	current *graph.Node, targetNP *NodePattern, forward bool,
-	cont func(Row, *graph.Node) (bool, error)) (bool, error) {
+func (m *matcher) traverseVarLength(state *matchState, h *hop, current *graph.Node) (bool, error) {
+	rp := state.pat.Rels[h.pos]
 	vl := rp.VarLength
 	maxLen := vl.Max
 	if maxLen < 0 {
 		maxLen = m.ctx.opts.MaxVarLength
 	}
-	dir := traversalDirection(rp.Direction, forward)
+	dir := traversalDirection(rp.Direction, h.forward)
+	targetNP := state.pat.Nodes[h.target()]
+	row := state.work
 
 	var chain []*graph.Relationship
 	var interim []*graph.Node
 
 	finish := func(endNode *graph.Node) (bool, error) {
-		okNode, undoNode, err := m.bindNode(targetNP, endNode, row)
+		okNode, setNode, err := m.bindNode(targetNP, endNode, row)
 		if err != nil {
 			return false, err
 		}
 		if !okNode {
 			return true, nil
 		}
-		var undoRelVar func(Row)
-		if rp.Var != "" {
-			if prev, bound := row[rp.Var]; bound {
-				_ = prev
-				undoNode(row)
+		setRel := false
+		if rp.slot >= 0 {
+			if row.bound(rp.slot) {
+				if setNode {
+					row[targetNP.slot] = unbound
+				}
 				return true, nil // var-length rel var cannot be pre-bound
 			}
 			vals := make([]graph.Value, len(chain))
 			for i, r := range chain {
 				vals[i] = r
 			}
-			row[rp.Var] = vals
-			undoRelVar = func(r Row) { delete(r, rp.Var) }
+			row[rp.slot] = vals
+			setRel = true
 		}
 		// Record the binding, preserving pattern order for paths. The
 		// last traversal node is the far endpoint itself (owned by the
@@ -270,16 +346,19 @@ func (m *matcher) traverseVarLength(state *matchState, row Row, rp *RelPattern, 
 		if len(interim) > 0 {
 			rb.interim = append([]*graph.Node(nil), interim[:len(interim)-1]...)
 		}
-		if !forward {
+		if !h.forward {
 			reverseRels(rb.chain)
 			reverseNodes(rb.interim)
 		}
-		state.relBinds[relPos] = rb
-		keep, err := cont(row, endNode)
-		if undoRelVar != nil {
-			undoRelVar(row)
+		state.relBinds[h.pos] = rb
+		state.nodes[h.target()] = endNode
+		keep, err := h.next()
+		if setRel {
+			row[rp.slot] = unbound
 		}
-		undoNode(row)
+		if setNode {
+			row[targetNP.slot] = unbound
+		}
 		return keep, err
 	}
 
@@ -301,7 +380,7 @@ func (m *matcher) traverseVarLength(state *matchState, row Row, rp *RelPattern, 
 		}
 		var stepErr error
 		completed := m.ctx.r.IncidentDo(node.ID, dir, rp.Types, func(r *graph.Relationship) bool {
-			if m.usedRels[r.ID] {
+			if m.relUsed(r.ID) {
 				return true
 			}
 			ok, err := m.relPropsMatch(rp, r, row)
@@ -322,7 +401,7 @@ func (m *matcher) traverseVarLength(state *matchState, row Row, rp *RelPattern, 
 			if other == nil {
 				return true
 			}
-			m.usedRels[r.ID] = true
+			m.usedRels = append(m.usedRels, r.ID)
 			chain = append(chain, r)
 			// The far endpoint is interior unless this hop completes a
 			// candidate path; interior tracking is append-only per depth.
@@ -330,7 +409,7 @@ func (m *matcher) traverseVarLength(state *matchState, row Row, rp *RelPattern, 
 			keep, err := dfs(other, depth+1)
 			interim = interim[:len(interim)-1]
 			chain = chain[:len(chain)-1]
-			delete(m.usedRels, r.ID)
+			m.usedRels = m.usedRels[:len(m.usedRels)-1]
 			if err != nil {
 				stepErr = err
 				return false
@@ -379,59 +458,53 @@ func traversalDirection(d RelDirection, forward bool) graph.Direction {
 }
 
 // bindNode checks a node against a node pattern and binds its variable.
-// It returns an undo closure that removes any binding it added.
-func (m *matcher) bindNode(np *NodePattern, n *graph.Node, row Row) (bool, func(Row), error) {
+// set reports whether it bound the slot, which the caller then unbinds
+// when it backtracks; an already-bound variable only has to agree.
+func (m *matcher) bindNode(np *NodePattern, n *graph.Node, row Row) (ok, set bool, err error) {
 	for _, l := range np.Labels {
 		if !n.HasLabel(l) {
-			return false, nil, nil
+			return false, false, nil
 		}
 	}
 	for key, expr := range np.Props {
 		want, err := m.ctx.eval(expr, row)
 		if err != nil {
-			return false, nil, err
+			return false, false, err
 		}
 		have, ok := n.Props[key]
 		if !ok || !graph.ValuesEqual(have, want) {
-			return false, nil, nil
+			return false, false, nil
 		}
 	}
-	if np.Var == "" {
-		return true, func(Row) {}, nil
+	if np.slot < 0 {
+		return true, false, nil
 	}
-	if prev, bound := row[np.Var]; bound {
+	if prev, bound := row.get(np.slot); bound {
 		pn, ok := prev.(*graph.Node)
 		if !ok {
-			return false, nil, evalErrorf("variable `%s` is not a node", np.Var)
+			return false, false, evalErrorf("variable `%s` is not a node", np.Var)
 		}
-		if pn.ID != n.ID {
-			return false, nil, nil
-		}
-		return true, func(Row) {}, nil
+		return pn.ID == n.ID, false, nil
 	}
-	row[np.Var] = n
-	name := np.Var
-	return true, func(r Row) { delete(r, name) }, nil
+	row[np.slot] = n
+	return true, true, nil
 }
 
-// bindRel checks relationship properties and binds the rel variable.
-func (m *matcher) bindRel(rp *RelPattern, r *graph.Relationship, row Row) (bool, func(Row), error) {
-	if rp.Var == "" {
-		return true, func(Row) {}, nil
+// bindRel binds the rel variable (its properties are checked by
+// relPropsMatch), with bindNode's set contract.
+func (m *matcher) bindRel(rp *RelPattern, r *graph.Relationship, row Row) (ok, set bool, err error) {
+	if rp.slot < 0 {
+		return true, false, nil
 	}
-	if prev, bound := row[rp.Var]; bound {
+	if prev, bound := row.get(rp.slot); bound {
 		pr, ok := prev.(*graph.Relationship)
 		if !ok {
-			return false, nil, evalErrorf("variable `%s` is not a relationship", rp.Var)
+			return false, false, evalErrorf("variable `%s` is not a relationship", rp.Var)
 		}
-		if pr.ID != r.ID {
-			return false, nil, nil
-		}
-		return true, func(Row) {}, nil
+		return pr.ID == r.ID, false, nil
 	}
-	row[rp.Var] = r
-	name := rp.Var
-	return true, func(rw Row) { delete(rw, name) }, nil
+	row[rp.slot] = r
+	return true, true, nil
 }
 
 func (m *matcher) relPropsMatch(rp *RelPattern, r *graph.Relationship, row Row) (bool, error) {
@@ -455,10 +528,8 @@ func (m *matcher) pickAnchor(pat *Pattern, row Row) int {
 	best, bestScore := 0, -1
 	for i, np := range pat.Nodes {
 		score := 0
-		if np.Var != "" {
-			if _, bound := row[np.Var]; bound {
-				score = 1000
-			}
+		if row.bound(np.slot) {
+			score = 1000
 		}
 		if score == 0 {
 			if len(np.Labels) > 0 && len(np.Props) > 0 {
@@ -529,8 +600,8 @@ func (cs candSet) sub(lo, hi int) candSet {
 // anchorCandidates produces the starting node set for the anchor
 // position, using the cheapest available access path.
 func (m *matcher) anchorCandidates(np *NodePattern, row Row) (candSet, error) {
-	if np.Var != "" {
-		if v, bound := row[np.Var]; bound {
+	if np.slot >= 0 {
+		if v, bound := row.get(np.slot); bound {
 			if graph.KindOf(v) == graph.KindNull {
 				return candSet{}, nil // optional-match null propagates to no matches
 			}

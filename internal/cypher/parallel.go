@@ -1,10 +1,8 @@
 package cypher
 
 import (
-	"container/heap"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -84,7 +82,7 @@ func resolveParallelism(opts Options) int {
 type parMode int
 
 const (
-	parRows parMode = iota // segment ends in row-land; sink merges []Row batches
+	parRows parMode = iota // segment ends in row-land; sink merges row batches
 	parProj                // segment includes the projection; sink merges []projected
 	parTopK                // segment includes ORDER BY ... LIMIT; workers keep local top-k heaps
 )
@@ -98,6 +96,10 @@ type parallelSegment struct {
 	match *stage // anchoring single-pattern MATCH fed directly by the seed
 	top   *stage // last stage the workers run
 	mode  parMode
+	// keepSource is set when a parProj segment feeds a full sort, whose
+	// ORDER BY scope needs each row's source frame; other consumers
+	// never look at it, so workers drop it.
+	keepSource bool
 }
 
 // analyzeParallel finds a part's parallelizable prefix, or nil. Only
@@ -107,7 +109,9 @@ type parallelSegment struct {
 // stages extend the segment and pipeline breakers (aggregation,
 // DISTINCT, full sort, SKIP, LIMIT) end it — except ORDER BY ... LIMIT
 // directly above the projection, which workers absorb as local top-k
-// heaps.
+// heaps. A segment whose consumer is a pushed-down LIMIT is not
+// parallelized at all: the serial scan stops after SKIP+LIMIT rows,
+// while workers would produce whole morsels the limit then discards.
 func analyzeParallel(sp *stagePlan) *parallelSegment {
 	var chain []*stage
 	for s := sp.root; s != nil; s = s.input {
@@ -132,7 +136,12 @@ func analyzeParallel(sp *stagePlan) *parallelSegment {
 			seg.top, seg.mode = s, parRows
 		case stageProject:
 			if s.hasAgg {
-				return seg // aggregation is a pipeline breaker
+				// Aggregation is a pipeline breaker: the sink folds the
+				// merged rows. Per-morsel partial states, merged at the
+				// sink, measured slower on 2 CPUs: a DISTINCT has to be
+				// filtered twice and every group is set up once per
+				// morsel.
+				return seg
 			}
 			seg.top, seg.mode = s, parProj
 		case stageTopK:
@@ -141,7 +150,13 @@ func analyzeParallel(sp *stagePlan) *parallelSegment {
 			}
 			seg.top, seg.mode = s, parTopK
 			return seg
+		case stageLimit:
+			if s.pushed {
+				return nil
+			}
+			return seg
 		default:
+			seg.keepSource = s.kind == stageSort
 			return seg
 		}
 	}
@@ -193,9 +208,9 @@ func (se *streamExec) startRun() *parallelRun {
 		return nil
 	}
 	pat := seg.match.match.Patterns[0]
-	m := &matcher{ctx: se.ctx, usedRels: map[int64]bool{}, hints: seg.match.hints}
-	anchor := m.pickAnchor(pat, Row{})
-	cands, err := m.anchorCandidates(pat.Nodes[anchor], Row{})
+	m := newMatcher(se.ctx, seg.match.hints)
+	anchor := m.pickAnchor(pat, nil)
+	cands, err := m.anchorCandidates(pat.Nodes[anchor], nil)
 	if err != nil {
 		return nil // the serial matchIter surfaces the same error
 	}
@@ -227,15 +242,11 @@ func (se *streamExec) startRun() *parallelRun {
 		stopCh: make(chan struct{}),
 		sem:    make(chan struct{}, 2*workers),
 		done:   make([]bool, nm),
+		outs:   make([]morselOut, nm),
 		errs:   make([]error, nm),
 	}
 	run.cond = sync.NewCond(&run.mu)
-	switch seg.mode {
-	case parRows:
-		run.rows = make([][]Row, nm)
-	case parProj:
-		run.projs = make([][]projected, nm)
-	case parTopK:
+	if seg.mode == parTopK {
 		k, err := se.evalSkipLimitBudget(seg.top.skipE, seg.top.limitE)
 		if err != nil {
 			return nil // serial surfaces the identical budget error
@@ -290,12 +301,14 @@ type parallelRun struct {
 	// claimable — the window cannot starve it.
 	sem chan struct{}
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	done  []bool
-	rows  [][]Row       // parRows: per-morsel row batches
-	projs [][]projected // parProj: per-morsel projected batches
-	errs  []error
+	mu   sync.Mutex
+	cond *sync.Cond
+	done []bool
+	outs []morselOut
+	errs []error
+	// spareProjs are emptied batches the sink has finished with;
+	// workers refill them instead of growing new ones.
+	spareProjs [][]projected
 
 	heapMu sync.Mutex
 	kept   []keyedRow // parTopK: union of the workers' local heaps
@@ -313,15 +326,16 @@ func (r *parallelRun) halt() {
 	})
 }
 
-func (r *parallelRun) publish(i int, rows []Row, projs []projected, err error) {
+// morselOut is what one morsel hands the sink, per segment mode.
+type morselOut struct {
+	rows  *rowBatch   // parRows
+	projs []projected // parProj
+}
+
+func (r *parallelRun) publish(i int, out morselOut, err error) {
 	r.mu.Lock()
 	r.done[i] = true
-	if r.rows != nil {
-		r.rows[i] = rows
-	}
-	if r.projs != nil {
-		r.projs[i] = projs
-	}
+	r.outs[i] = out
 	r.errs[i] = err
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -331,27 +345,21 @@ func (r *parallelRun) publish(i int, rows []Row, projs []projected, err error) {
 // frees the dispatch-window slot. Only the sink calls it, strictly in
 // morsel order; every claimed morsel is eventually published, so take
 // always returns.
-func (r *parallelRun) take(i int) ([]Row, []projected, error) {
+func (r *parallelRun) take(i int) (morselOut, error) {
 	r.mu.Lock()
 	for !r.done[i] && !r.stopped.Load() {
 		r.cond.Wait()
 	}
 	if !r.done[i] {
 		r.mu.Unlock()
-		return nil, nil, errParallelStopped
+		return morselOut{}, errParallelStopped
 	}
-	var rows []Row
-	var projs []projected
-	if r.rows != nil {
-		rows, r.rows[i] = r.rows[i], nil
-	}
-	if r.projs != nil {
-		projs, r.projs[i] = r.projs[i], nil
-	}
+	out := r.outs[i]
+	r.outs[i] = morselOut{}
 	err := r.errs[i]
 	r.mu.Unlock()
 	<-r.sem
-	return rows, projs, err
+	return out, err
 }
 
 // worker is one pool goroutine: claim a morsel, run the segment's
@@ -365,18 +373,18 @@ func (r *parallelRun) worker() {
 	defer r.wg.Done()
 	src := r.se.ctx
 	ws := &streamExec{ctx: &evalCtx{
-		g:      src.g,
-		r:      src.r, // the execution's immutable snapshot
-		params: src.params,
-		opts:   src.opts,
-		plan:   src.plan,
-		ctx:    src.ctx,
+		g:          src.g,
+		r:          src.r, // the execution's immutable snapshot
+		params:     src.params,
+		opts:       src.opts,
+		plan:       src.plan,
+		width:      src.width,
+		scopeWidth: src.scopeWidth,
+		ctx:        src.ctx,
 	}}
 	var h *topKHeap
-	var colSet map[string]bool
 	if r.seg.mode == parTopK {
-		h = &topKHeap{orderBy: r.seg.top.orderBy}
-		colSet = colSetOf(r.seg.top.cols)
+		h = newTopKHeap(r.seg.top.order, r.kBudget)
 		defer func() {
 			r.heapMu.Lock()
 			r.kept = append(r.kept, h.items...)
@@ -399,91 +407,154 @@ func (r *parallelRun) worker() {
 		if hi > r.cands.len() {
 			hi = r.cands.len()
 		}
-		rows, projs, err := r.runMorsel(ws, i, lo, hi, h, colSet)
-		r.publish(i, rows, projs, err)
+		out, err := r.runMorsel(ws, i, lo, hi, h)
+		r.publish(i, out, err)
 	}
 }
 
 // runMorsel executes the worker's iterator chain over candidates
-// [lo, hi) and collects the batch for morsel idx.
-func (r *parallelRun) runMorsel(ws *streamExec, idx, lo, hi int, h *topKHeap, colSet map[string]bool) ([]Row, []projected, error) {
+// [lo, hi) and collects the output of morsel idx.
+//
+// Unless a worker-side heap or the sink keeps them, the frames a
+// morsel's operators allocate are dead once the batch is collected: a
+// parRows batch holds copies of its rows, and a parProj batch drops
+// the source frames no consumer reads. The worker then rewinds its
+// frame slab and the next morsel reuses the same memory.
+func (r *parallelRun) runMorsel(ws *streamExec, idx, lo, hi int, h *topKHeap) (morselOut, error) {
 	ws.pre = &morselPreset{match: r.seg.match, anchor: r.anchor, cands: r.cands.sub(lo, hi)}
+	if r.seg.mode == parRows || (r.seg.mode == parProj && !r.seg.keepSource) {
+		ws.ctx.frames.rewind()
+	}
 	switch r.seg.mode {
 	case parRows:
-		it, err := ws.build(r.seg.top)
+		it, err := ws.build(r.seg.top, true)
 		if err != nil {
-			return nil, nil, err
+			return morselOut{}, err
 		}
-		var out []Row
+		out := &rowBatch{width: ws.ctx.width}
 		for {
 			row, ok, err := it.Next()
 			if err != nil {
-				return nil, nil, err
+				return morselOut{}, err
 			}
 			if !ok {
-				return out, nil, nil
+				return morselOut{rows: out}, nil
 			}
-			out = append(out, row)
-			if len(out)%parallelStopInterval == 0 && r.stopped.Load() {
-				return nil, nil, errParallelStopped
+			out.add(row)
+			if out.n%parallelStopInterval == 0 && r.stopped.Load() {
+				return morselOut{}, errParallelStopped
 			}
 		}
 	case parProj:
 		pi, err := ws.buildProj(r.seg.top)
 		if err != nil {
-			return nil, nil, err
+			return morselOut{}, err
 		}
-		var out []projected
+		out := r.spareProjBatch()
 		for {
 			pr, ok, err := pi.Next()
 			if err != nil {
-				return nil, nil, err
+				return morselOut{}, err
 			}
 			if !ok {
-				return nil, out, nil
+				return morselOut{projs: out}, nil
+			}
+			if !r.seg.keepSource {
+				pr.source = nil
 			}
 			out = append(out, pr)
 			if len(out)%parallelStopInterval == 0 && r.stopped.Load() {
-				return nil, nil, errParallelStopped
+				return morselOut{}, errParallelStopped
 			}
 		}
 	default: // parTopK
 		pi, err := ws.buildProj(r.seg.top.input)
 		if err != nil {
-			return nil, nil, err
+			return morselOut{}, err
 		}
 		pos := 0
 		for {
 			pr, ok, err := pi.Next()
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				return nil, nil, nil
-			}
-			keys, err := sortKeysFor(ws.ctx, pr, r.seg.top.orderBy, colSet)
-			if err != nil {
-				return nil, nil, err
-			}
-			pos++
-			if pos%parallelStopInterval == 0 && r.stopped.Load() {
-				return nil, nil, errParallelStopped
-			}
-			if r.kBudget == 0 {
-				continue // serial top-k also drains its input at k=0
+			if err != nil || !ok {
+				return morselOut{}, err
 			}
 			// (idx, pos) is this row's global arrival rank — morsel
 			// order, then order within the morsel — i.e. exactly the
 			// serial arrival sequence, so ties evict identically.
-			kr := keyedRow{pr: pr, keys: keys, seq: idx, seq2: pos}
-			if len(h.items) < r.kBudget {
-				heap.Push(h, kr)
-			} else if sortsAfter(r.seg.top.orderBy, h.items[0], kr) {
-				h.items[0] = kr
-				heap.Fix(h, 0)
+			pos++
+			if err := h.offer(ws.ctx, pr, idx, pos); err != nil {
+				return morselOut{}, err
+			}
+			if pos%parallelStopInterval == 0 && r.stopped.Load() {
+				return morselOut{}, errParallelStopped
 			}
 		}
 	}
+}
+
+// rowBatch is one morsel's output rows, copied back to back into
+// chunks of up to maxSlabRows rows: a batch costs one allocation per
+// chunk, and the rows handed to the sink's consumer are slices of the
+// chunks.
+type rowBatch struct {
+	width  int
+	n      int // rows added
+	chunks []Row
+	// read cursor
+	chunk, off, read int
+}
+
+func (b *rowBatch) add(row Row) {
+	b.n++
+	last := len(b.chunks) - 1
+	if last < 0 || cap(b.chunks[last])-len(b.chunks[last]) < b.width {
+		b.chunks = append(b.chunks, make(Row, 0, b.width*maxSlabRows))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], row[:b.width]...)
+}
+
+// next returns the batch's next row; ok is false after the last one.
+func (b *rowBatch) next() (Row, bool) {
+	if b.read == b.n {
+		return nil, false
+	}
+	b.read++
+	if b.width == 0 {
+		return Row{}, true
+	}
+	if b.off == len(b.chunks[b.chunk]) {
+		b.chunk, b.off = b.chunk+1, 0
+	}
+	lo, hi := b.off, b.off+b.width
+	b.off = hi
+	return b.chunks[b.chunk][lo:hi:hi], true
+}
+
+// spareProjBatch returns an emptied batch for a worker to fill, or nil.
+func (r *parallelRun) spareProjBatch() []projected {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.spareProjs)
+	if n == 0 {
+		return nil
+	}
+	b := r.spareProjs[n-1]
+	r.spareProjs = r.spareProjs[:n-1]
+	return b
+}
+
+// recycle hands a consumed projected batch back for reuse. The rows it
+// held belong to the sink's consumer now; only the slice is reused,
+// after clearing it.
+func (r *parallelRun) recycle(projs []projected) {
+	if cap(projs) == 0 {
+		return
+	}
+	clear(projs)
+	r.mu.Lock()
+	r.spareProjs = append(r.spareProjs, projs[:0])
+	r.mu.Unlock()
 }
 
 // parallelRowIter is the parRows sink: per-morsel batches emitted
@@ -493,28 +564,27 @@ func (r *parallelRun) runMorsel(ws *streamExec, idx, lo, hi int, h *topKHeap, co
 // error choice.
 type parallelRowIter struct {
 	run  *parallelRun
-	cur  []Row
-	pos  int
+	cur  *rowBatch
 	next int
 }
 
 func (it *parallelRowIter) Next() (Row, bool, error) {
 	for {
-		if it.pos < len(it.cur) {
-			row := it.cur[it.pos]
-			it.pos++
-			return row, true, nil
+		if it.cur != nil {
+			if row, ok := it.cur.next(); ok {
+				return row, true, nil
+			}
 		}
 		if it.next >= it.run.nm {
 			return nil, false, nil
 		}
-		rows, _, err := it.run.take(it.next)
+		out, err := it.run.take(it.next)
 		it.next++
 		if err != nil {
 			it.run.halt()
 			return nil, false, err
 		}
-		it.cur, it.pos = rows, 0
+		it.cur = out.rows
 	}
 }
 
@@ -534,16 +604,18 @@ func (it *parallelProjIter) Next() (projected, bool, error) {
 			it.pos++
 			return pr, true, nil
 		}
+		it.run.recycle(it.cur)
+		it.cur = nil
 		if it.next >= it.run.nm {
 			return projected{}, false, nil
 		}
-		_, projs, err := it.run.take(it.next)
+		out, err := it.run.take(it.next)
 		it.next++
 		if err != nil {
 			it.run.halt()
 			return projected{}, false, err
 		}
-		it.cur, it.pos = projs, 0
+		it.cur, it.pos = out.projs, 0
 	}
 }
 
@@ -564,7 +636,7 @@ type parallelTopKIter struct {
 func (it *parallelTopKIter) Next() (projected, bool, error) {
 	if !it.built {
 		for i := 0; i < it.run.nm; i++ {
-			if _, _, err := it.run.take(i); err != nil {
+			if _, err := it.run.take(i); err != nil {
 				it.run.halt()
 				return projected{}, false, err
 			}
@@ -572,13 +644,10 @@ func (it *parallelTopKIter) Next() (projected, bool, error) {
 		// All morsels are consumed, so every worker is past its last
 		// publish; wait for the final heap hand-offs.
 		it.run.wg.Wait()
-		orderBy := it.run.seg.top.orderBy
 		it.run.heapMu.Lock()
 		kept := it.run.kept
 		it.run.heapMu.Unlock()
-		sort.Slice(kept, func(i, j int) bool {
-			return sortsAfter(orderBy, kept[j], kept[i])
-		})
+		sortKeyed(it.run.seg.top.order.items, kept)
 		if len(kept) > it.run.kBudget {
 			kept = kept[:it.run.kBudget]
 		}

@@ -203,6 +203,31 @@ func TestParallelPlannerThreshold(t *testing.T) {
 	}
 }
 
+// TestParallelSkipsPushedLimit checks that a scan under a pushed-down
+// LIMIT runs serially even above the cardinality threshold: the serial
+// scan stops after LIMIT rows, while morsel workers would produce
+// whole morsels only to have the limit discard them.
+func TestParallelSkipsPushedLimit(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 600; i++ {
+		g.MustCreateNode([]string{"AS"}, map[string]any{"asn": i})
+	}
+	for _, opts := range []Options{{}, {MaxParallelism: 4}} {
+		_, m0 := ParallelStats()
+		res, err := ExecuteWith(g, "MATCH (a:AS) RETURN a.asn LIMIT 5", nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m1 := ParallelStats()
+		if m1 != m0 {
+			t.Fatalf("opts %+v: a pushed LIMIT dispatched %d morsels", opts, m1-m0)
+		}
+		if len(res.Rows) != 5 || res.Rows[0][0] != int64(0) || res.Rows[4][0] != int64(4) {
+			t.Fatalf("opts %+v: rows = %v", opts, res.Rows)
+		}
+	}
+}
+
 // TestExplainParallelDecision asserts the planner decision surfaces in
 // EXPLAIN: parallel above the threshold, an explicit serial fallback
 // below it, and no line at all when parallelism is unavailable.

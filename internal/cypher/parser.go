@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// Parse compiles query text into an AST. The returned error is a
+// Parse compiles query text into an AST and numbers the names it binds
+// into frame slots (see slots.go). The returned error is a
 // *SyntaxError carrying the source position of the first problem.
 func Parse(src string) (*Query, error) {
 	toks, err := lex(src)
@@ -17,6 +18,7 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.layout = resolveSlots(q)
 	return q, nil
 }
 

@@ -39,6 +39,9 @@ type queryPlan struct {
 	version        uint64
 	disableIndexes bool
 	hints          map[*MatchClause]matchHints
+	// layout is the query's slot layout. It depends only on the query
+	// text, so every plan of one query shares it.
+	layout *slotLayout
 
 	// parts holds one operator pipeline per query part (the main query
 	// followed by its UNION parts). lastDedup is the index of the last
@@ -64,12 +67,17 @@ func planQuery(g *graph.Graph, q *Query, opts Options) *queryPlan {
 		version:        g.Version(),
 		disableIndexes: opts.DisableIndexes,
 		hints:          make(map[*MatchClause]matchHints),
+		layout:         q.layout,
 		lastDedup:      -1,
+	}
+	if p.layout == nil {
+		// A query assembled by hand rather than by Parse.
+		p.layout = resolveSlots(q)
 	}
 	p.planInto(g, q, opts)
 
 	for i, part := range append([]*Query{q}, unionQueries(q)...) {
-		sp, err := buildStages(part, p.hints)
+		sp, err := buildStages(part, p.layout, p.hints)
 		if err != nil {
 			p.err = err
 			return p

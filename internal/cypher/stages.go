@@ -43,8 +43,9 @@ type stage struct {
 	input *stage
 
 	// stageMatch
-	match *MatchClause
-	hints matchHints
+	match    *MatchClause
+	hints    matchHints
+	newSlots []int // the slots the patterns bind (OPTIONAL MATCH nulls them)
 
 	// stageUnwind
 	unwind *UnwindClause
@@ -56,13 +57,15 @@ type stage struct {
 	write Clause
 
 	// stageProject
-	items  []*ReturnItem // star-expanded
-	cols   []string
-	hasAgg bool
-	final  bool // RETURN (vs WITH)
+	items    []*ReturnItem // star-expanded
+	cols     []string
+	colSlots []int // the frame slot of each column
+	hasAgg   bool
+	agg      *aggSpec // when hasAgg
+	final    bool     // RETURN (vs WITH)
 
 	// stageSort / stageTopK
-	orderBy []*SortItem
+	order *orderSpec
 
 	// stageTopK / stageSkip / stageLimit — row-independent expressions,
 	// evaluated once per execution.
@@ -82,11 +85,12 @@ type stagePlan struct {
 	par *parallelSegment
 }
 
-// buildStages derives the operator pipeline for one query part. hints
-// is the per-MATCH index analysis planInto already performed for this
-// plan. A part without RETURN (a write query) yields no columns: its
-// rows are pulled, so its writes apply, and then dropped.
-func buildStages(q *Query, hints map[*MatchClause]matchHints) (*stagePlan, error) {
+// buildStages derives the operator pipeline for one query part. l is
+// the query's slot layout and hints the per-MATCH index analysis
+// planInto already performed for this plan. A part without RETURN (a
+// write query) yields no columns: its rows are pulled, so its writes
+// apply, and then dropped.
+func buildStages(q *Query, l *slotLayout, hints map[*MatchClause]matchHints) (*stagePlan, error) {
 	root := &stage{kind: stageSeed}
 	var scope []string
 	addScope := func(names ...string) {
@@ -109,13 +113,18 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints) (*stagePlan, error
 	for i, cl := range q.Clauses {
 		switch x := cl.(type) {
 		case *MatchClause:
-			root = &stage{kind: stageMatch, input: root, match: x, hints: hints[x]}
-			addScope(patternVars(x.Patterns)...)
+			vars := patternVars(x.Patterns)
+			slots := make([]int, len(vars))
+			for i, v := range vars {
+				slots[i] = l.slot(v)
+			}
+			root = &stage{kind: stageMatch, input: root, match: x, hints: hints[x], newSlots: slots}
+			addScope(vars...)
 		case *UnwindClause:
 			root = &stage{kind: stageUnwind, input: root, unwind: x}
 			addScope(x.Alias)
 		case *WithClause:
-			proj, cols, err := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, false)
+			proj, cols, err := buildProjection(root, l, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, false)
 			if err != nil {
 				return nil, err
 			}
@@ -128,7 +137,7 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints) (*stagePlan, error
 			if i != len(q.Clauses)-1 {
 				return nil, evalErrorf("clause after RETURN")
 			}
-			proj, cols, err := buildProjection(root, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, true)
+			proj, cols, err := buildProjection(root, l, scope, x.Items, x.Distinct, x.OrderBy, x.Skip, x.Limit, true)
 			if err != nil {
 				return nil, err
 			}
@@ -151,9 +160,9 @@ func buildStages(q *Query, hints map[*MatchClause]matchHints) (*stagePlan, error
 // buildProjection assembles the projection chain of one WITH/RETURN:
 // (pushed limit) → project → distinct → sort|top-k → skip → limit. It
 // errs when the items expand to nothing.
-func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct bool,
+func buildProjection(input *stage, l *slotLayout, scope []string, items []*ReturnItem, distinct bool,
 	orderBy []*SortItem, skipE, limitE Expr, final bool) (*stage, []string, error) {
-	expanded, cols := expandItems(items, scope)
+	expanded, cols := expandItems(items, scope, l)
 	if len(expanded) == 0 {
 		return nil, nil, evalErrorf("nothing to project")
 	}
@@ -171,20 +180,35 @@ func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct
 	if pushedLimit {
 		input = &stage{kind: stageLimit, input: input, skipE: skipE, limitE: limitE, pushed: true}
 	}
-	root := &stage{kind: stageProject, input: input, items: expanded, cols: cols, hasAgg: hasAgg, final: final}
+	colSlots := make([]int, len(cols))
+	for i, c := range cols {
+		if final && l.deferFinal {
+			continue
+		}
+		colSlots[i] = l.slot(c)
+	}
+	root := &stage{kind: stageProject, input: input, items: expanded, cols: cols, colSlots: colSlots,
+		hasAgg: hasAgg, final: final}
+	if hasAgg {
+		root.agg = planAggregation(expanded)
+	}
 	if distinct {
-		root = &stage{kind: stageDistinct, input: root, cols: cols}
+		root = &stage{kind: stageDistinct, input: root}
+	}
+	var order *orderSpec
+	if len(orderBy) > 0 {
+		order = newOrderSpec(orderBy, cols, colSlots)
 	}
 	switch {
 	case len(orderBy) > 0 && limitE != nil:
 		// Bounded top-k replaces full-sort-then-slice; keeps SKIP+LIMIT
 		// rows with ties resolved exactly as the stable sort would.
-		root = &stage{kind: stageTopK, input: root, orderBy: orderBy, cols: cols, skipE: skipE, limitE: limitE}
+		root = &stage{kind: stageTopK, input: root, order: order, skipE: skipE, limitE: limitE}
 		if skipE != nil {
 			root = &stage{kind: stageSkip, input: root, skipE: skipE}
 		}
 	case len(orderBy) > 0:
-		root = &stage{kind: stageSort, input: root, orderBy: orderBy, cols: cols}
+		root = &stage{kind: stageSort, input: root, order: order}
 		if skipE != nil {
 			root = &stage{kind: stageSkip, input: root, skipE: skipE}
 		}
@@ -205,7 +229,7 @@ func buildProjection(input *stage, scope []string, items []*ReturnItem, distinct
 
 // expandItems performs RETURN * expansion against the static scope and
 // derives the output column names.
-func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string) {
+func expandItems(items []*ReturnItem, scope []string, l *slotLayout) ([]*ReturnItem, []string) {
 	var expanded []*ReturnItem
 	for _, it := range items {
 		if !it.Star {
@@ -215,7 +239,7 @@ func expandItems(items []*ReturnItem, scope []string) ([]*ReturnItem, []string) 
 		scoped := append([]string(nil), scope...)
 		sort.Strings(scoped)
 		for _, name := range scoped {
-			expanded = append(expanded, &ReturnItem{Expr: &Variable{Name: name}, Alias: name})
+			expanded = append(expanded, &ReturnItem{Expr: &Variable{Name: name, slot: l.slot(name)}, Alias: name})
 		}
 	}
 	cols := make([]string, len(expanded))

@@ -12,15 +12,17 @@ import (
 // becomes a pull iterator, rows flow one at a time from the scan to
 // the output, and a LIMIT — pushed below the projection when no ORDER
 // BY/DISTINCT/aggregate intervenes — stops the upstream scan as soon
-// as it is satisfied. Blocking operators (sort, aggregation, and the
-// write barriers in write.go) materialize their input, bounded by
-// Options.MaxRows; ORDER BY ... LIMIT avoids the full sort with a
-// bounded top-k heap whose tie-breaking is bit-identical to a stable
-// sort.
+// as it is satisfied. Blocking operators (sort and the write barriers
+// in write.go) materialize their input, bounded by Options.MaxRows;
+// aggregation folds its input into per-group accumulators as it
+// arrives (aggregates.go), still counting it against MaxRows; ORDER BY
+// ... LIMIT avoids the full sort with a bounded top-k heap whose
+// tie-breaking is bit-identical to a stable sort.
 
 // rowIter is the pull interface every row-level operator implements.
 // Next returns the next row, or ok=false at end of stream. Returned
-// rows are owned by the caller.
+// rows are owned by the caller, except that a chain built to lend (see
+// build) may reuse a row once the caller pulls the next one.
 type rowIter interface {
 	Next() (Row, bool, error)
 }
@@ -68,7 +70,16 @@ type streamExec struct {
 }
 
 // build assembles the iterator chain for a stage pipeline, rooted at s.
-func (se *streamExec) build(s *stage) (rowIter, error) {
+//
+// lend says the consumer is done with each row before it pulls the
+// next one — it copies or drops what it keeps — so the chain may hand
+// out a row it reuses afterwards. A MATCH lends its matches from a
+// pool of frames recycled per candidate; filters and pushed limits
+// pass rows, and the promise, through. Consumers that lend are the
+// aggregation (it copies each group's first row), a MATCH or UNWIND
+// reading its input row, and a morsel worker copying rows into its
+// batch.
+func (se *streamExec) build(s *stage, lend bool) (rowIter, error) {
 	// Sink-side parallel substitution: when s tops an eligible segment
 	// and the run engages, the whole prefix below runs on the worker
 	// pool instead (see parallel.go). On fallback, build serially.
@@ -79,39 +90,38 @@ func (se *streamExec) build(s *stage) (rowIter, error) {
 	}
 	switch s.kind {
 	case stageSeed:
-		return &seedIter{}, nil
+		return &seedIter{ctx: se.ctx}, nil
 	case stageMatch:
-		in, err := se.build(s.input)
+		in, err := se.build(s.input, true)
 		if err != nil {
 			return nil, err
 		}
-		mi := &matchIter{se: se, m: s.match, hints: s.hints, input: in,
-			newVars: patternVars(s.match.Patterns)}
+		mi := &matchIter{se: se, m: s.match, hints: s.hints, input: in, newSlots: s.newSlots, lend: lend}
 		if se.pre != nil && se.pre.match == s {
 			mi.pre = se.pre
 		}
 		return mi, nil
 	case stageUnwind:
-		in, err := se.build(s.input)
+		in, err := se.build(s.input, true)
 		if err != nil {
 			return nil, err
 		}
-		return &unwindIter{se: se, u: s.unwind, input: in}, nil
+		return &unwindIter{ctx: se.ctx, u: s.unwind, input: in}, nil
 	case stageFilter:
-		in, err := se.build(s.input)
+		in, err := se.build(s.input, lend)
 		if err != nil {
 			return nil, err
 		}
 		return &filterIter{se: se, cond: s.cond, input: in}, nil
 	case stageWrite:
-		in, err := se.build(s.input)
+		in, err := se.build(s.input, false)
 		if err != nil {
 			return nil, err
 		}
 		return &writeIter{se: se, cl: s.write, input: in}, nil
 	case stageLimit:
 		if s.pushed {
-			in, err := se.build(s.input)
+			in, err := se.build(s.input, lend)
 			if err != nil {
 				return nil, err
 			}
@@ -127,7 +137,11 @@ func (se *streamExec) build(s *stage) (rowIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &stripIter{in: pi}, nil
+		p := s
+		for p.kind != stageProject {
+			p = p.input
+		}
+		return &stripIter{ctx: se.ctx, in: pi, proj: p}, nil
 	}
 }
 
@@ -140,23 +154,23 @@ func (se *streamExec) buildProj(s *stage) (projIter, error) {
 	}
 	switch s.kind {
 	case stageProject:
-		in, err := se.build(s.input)
+		in, err := se.build(s.input, s.hasAgg)
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{se: se, items: s.items, cols: s.cols, hasAgg: s.hasAgg, input: in}, nil
+		return &projectIter{ctx: se.ctx, s: s, input: in}, nil
 	case stageDistinct:
 		in, err := se.buildProj(s.input)
 		if err != nil {
 			return nil, err
 		}
-		return &distinctIter{in: in, cols: s.cols, seen: map[string]bool{}}, nil
+		return &distinctIter{in: in, seen: map[string]bool{}}, nil
 	case stageSort:
 		in, err := se.buildProj(s.input)
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{se: se, in: in, orderBy: s.orderBy, cols: s.cols}, nil
+		return &sortIter{ctx: se.ctx, in: in, order: s.order}, nil
 	case stageTopK:
 		in, err := se.buildProj(s.input)
 		if err != nil {
@@ -166,7 +180,7 @@ func (se *streamExec) buildProj(s *stage) (projIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &topKIter{se: se, in: in, orderBy: s.orderBy, cols: s.cols, k: k}, nil
+		return &topKIter{ctx: se.ctx, in: in, order: s.order, k: k}, nil
 	case stageSkip:
 		in, err := se.buildProj(s.input)
 		if err != nil {
@@ -197,7 +211,7 @@ func (se *streamExec) evalSkip(e Expr) (int, error) {
 	if e == nil {
 		return 0, nil
 	}
-	v, err := se.ctx.eval(e, Row{})
+	v, err := se.ctx.eval(e, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -210,7 +224,7 @@ func (se *streamExec) evalSkip(e Expr) (int, error) {
 
 // evalLimit evaluates a LIMIT expression: a non-negative integer.
 func (se *streamExec) evalLimit(e Expr) (int, error) {
-	v, err := se.ctx.eval(e, Row{})
+	v, err := se.ctx.eval(e, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -237,14 +251,17 @@ func (se *streamExec) evalSkipLimitBudget(skipE, limitE Expr) (int, error) {
 }
 
 // seedIter yields the single empty row every pipeline starts from.
-type seedIter struct{ done bool }
+type seedIter struct {
+	ctx  *evalCtx
+	done bool
+}
 
 func (it *seedIter) Next() (Row, bool, error) {
 	if it.done {
 		return nil, false, nil
 	}
 	it.done = true
-	return Row{}, true, nil
+	return it.ctx.newFrame(), true, nil
 }
 
 // matchIter enumerates pattern matches per input row. Single-pattern
@@ -253,11 +270,11 @@ func (it *seedIter) Next() (Row, bool, error) {
 // multi-pattern MATCH buffers the full cross product of one input row
 // at a time (relationship uniqueness spans the patterns).
 type matchIter struct {
-	se      *streamExec
-	m       *MatchClause
-	hints   matchHints
-	input   rowIter
-	newVars []string
+	se       *streamExec
+	m        *MatchClause
+	hints    matchHints
+	input    rowIter
+	newSlots []int // OPTIONAL MATCH: the slots bound to null on no match
 
 	// pre pins the anchor choice and candidate set to one morsel's
 	// subrange — set only on parallel-worker chains (see parallel.go).
@@ -269,11 +286,22 @@ type matchIter struct {
 	matcher    *matcher
 	matchedAny bool
 
-	// single-pattern candidate streaming
-	anchor  int
+	// lend: matches go out in frames from pool, reused from poolPos 0
+	// whenever buf is refilled (see streamExec.build)
+	lend    bool
+	pool    []Row
+	poolPos int
+
+	// single-pattern candidate streaming; the match state is reused
+	// across input rows that anchor at the same position
 	cands   candSet
 	candIdx int
 	state   *matchState
+	keep    func(Row) bool // it.collect, bound once
+	// whereErr is the first WHERE error of the current candidate's
+	// matches; it surfaces after the candidate's enumeration, so a
+	// matching error still takes precedence.
+	whereErr error
 
 	buf    []Row
 	bufPos int
@@ -283,11 +311,13 @@ func (it *matchIter) Next() (Row, bool, error) {
 	for {
 		if it.bufPos < len(it.buf) {
 			r := it.buf[it.bufPos]
+			it.buf[it.bufPos] = nil
 			it.bufPos++
 			return r, true, nil
 		}
 		it.buf = it.buf[:0]
 		it.bufPos = 0
+		it.poolPos = 0
 		if !it.haveIn {
 			row, ok, err := it.input.Next()
 			if err != nil || !ok {
@@ -296,7 +326,9 @@ func (it *matchIter) Next() (Row, bool, error) {
 			it.inRow = row
 			it.haveIn = true
 			it.matchedAny = false
-			it.matcher = &matcher{ctx: it.se.ctx, usedRels: map[int64]bool{}, hints: it.hints}
+			if it.matcher == nil {
+				it.matcher = newMatcher(it.se.ctx, it.hints)
+			}
 			if len(it.m.Patterns) > 1 {
 				if err := it.fillMulti(); err != nil {
 					return nil, false, err
@@ -308,22 +340,24 @@ func (it *matchIter) Next() (Row, bool, error) {
 			if len(pat.Nodes) == 0 {
 				return nil, false, evalErrorf("empty pattern")
 			}
+			var anchor int
 			if it.pre != nil {
-				it.anchor = it.pre.anchor
+				anchor = it.pre.anchor
 				it.cands = it.pre.cands
 			} else {
-				it.anchor = it.matcher.pickAnchor(pat, row)
-				cands, err := it.matcher.anchorCandidates(pat.Nodes[it.anchor], row)
+				anchor = it.matcher.pickAnchor(pat, row)
+				cands, err := it.matcher.anchorCandidates(pat.Nodes[anchor], row)
 				if err != nil {
 					return nil, false, err
 				}
 				it.cands = cands
 			}
 			it.candIdx = 0
-			it.state = &matchState{
-				pat:      pat,
-				nodes:    make([]*graph.Node, len(pat.Nodes)),
-				relBinds: make([]relBinding, len(pat.Rels)),
+			if it.state == nil || it.state.anchor != anchor {
+				if it.keep == nil {
+					it.keep = it.collect
+				}
+				it.state = it.matcher.newState(pat, anchor, len(row), it.keep)
 			}
 		}
 		if it.candIdx >= it.cands.len() {
@@ -338,15 +372,11 @@ func (it *matchIter) Next() (Row, bool, error) {
 		if cand == nil {
 			continue // id vanished between planning and resolution
 		}
-		_, err := it.matcher.matchCandidate(it.state, it.anchor, cand, it.inRow, func(r Row) bool {
-			it.buf = append(it.buf, r)
-			return true
-		})
-		if err != nil {
+		if _, err := it.matcher.matchCandidate(it.state, cand, it.inRow); err != nil {
 			return nil, false, err
 		}
-		if err := it.filterWhere(); err != nil {
-			return nil, false, err
+		if it.whereErr != nil {
+			return nil, false, it.whereErr
 		}
 		if len(it.buf) > 0 {
 			it.matchedAny = true
@@ -354,22 +384,61 @@ func (it *matchIter) Next() (Row, bool, error) {
 	}
 }
 
+// collect receives each complete single-pattern match in the matcher's
+// work frame, applies the MATCH's WHERE to it there, and copies out
+// only the matches that pass.
+func (it *matchIter) collect(work Row) bool {
+	if it.m.Where != nil {
+		if it.whereErr != nil {
+			return true
+		}
+		v, err := it.se.ctx.eval(it.m.Where, work)
+		if err != nil {
+			it.whereErr = err
+			return true
+		}
+		if b, ok := v.(bool); !ok || !b {
+			return true
+		}
+	}
+	it.buf = append(it.buf, it.keepFrame(work))
+	return true
+}
+
+// keepFrame copies a match out of the work frame: into a fresh frame,
+// or, when the consumer borrows rows, into the next pooled one.
+func (it *matchIter) keepFrame(work Row) Row {
+	if !it.lend {
+		return it.se.ctx.copyFrame(work)
+	}
+	if it.poolPos == len(it.pool) {
+		it.pool = append(it.pool, it.se.ctx.copyFrame(work))
+	} else {
+		f := it.pool[it.poolPos]
+		n := copy(f, work)
+		f[n:].unbindAll()
+	}
+	it.poolPos++
+	return it.pool[it.poolPos-1]
+}
+
 // fillMulti buffers every match of a multi-pattern MATCH for the
 // current input row, bounded by MaxRows.
 func (it *matchIter) fillMulti() error {
+	ctx := it.se.ctx
 	matches := []Row{it.inRow}
 	for _, pat := range it.m.Patterns {
 		var next []Row
 		for _, mr := range matches {
 			err := it.matcher.match(pat, mr, func(r Row) bool {
-				next = append(next, r)
-				return len(next) <= it.se.ctx.opts.MaxRows
+				next = append(next, ctx.copyFrame(r))
+				return len(next) <= ctx.opts.MaxRows
 			})
 			if err != nil {
 				return err
 			}
 		}
-		if len(next) > it.se.ctx.opts.MaxRows {
+		if len(next) > ctx.opts.MaxRows {
 			return ErrTooManyRows
 		}
 		matches = next
@@ -410,10 +479,10 @@ func (it *matchIter) filterWhere() error {
 // nullRow is the OPTIONAL MATCH no-match fallback: the input row with
 // every new pattern variable bound to null.
 func (it *matchIter) nullRow() Row {
-	nr := it.inRow.clone()
-	for _, v := range it.newVars {
-		if _, bound := nr[v]; !bound {
-			nr[v] = nil
+	nr := it.se.ctx.copyFrame(it.inRow)
+	for _, s := range it.newSlots {
+		if !nr.bound(s) {
+			nr[s] = nil
 		}
 	}
 	return nr
@@ -421,7 +490,7 @@ func (it *matchIter) nullRow() Row {
 
 // unwindIter expands list values to one row per element.
 type unwindIter struct {
-	se    *streamExec
+	ctx   *evalCtx
 	u     *UnwindClause
 	input rowIter
 
@@ -435,8 +504,8 @@ func (it *unwindIter) Next() (Row, bool, error) {
 	for {
 		if it.inList {
 			if it.listPos < len(it.list) {
-				nr := it.cur.clone()
-				nr[it.u.Alias] = it.list[it.listPos]
+				nr := it.ctx.copyFrame(it.cur)
+				nr[it.u.slot] = it.list[it.listPos]
 				it.listPos++
 				return nr, true, nil
 			}
@@ -446,7 +515,7 @@ func (it *unwindIter) Next() (Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		v, err := it.se.ctx.eval(it.u.Expr, row)
+		v, err := it.ctx.eval(it.u.Expr, row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -459,8 +528,8 @@ func (it *unwindIter) Next() (Row, bool, error) {
 			it.listPos = 0
 			it.inList = true
 		default:
-			nr := row.clone()
-			nr[it.u.Alias] = v
+			nr := it.ctx.copyFrame(row)
+			nr[it.u.slot] = v
 			return nr, true, nil
 		}
 	}
@@ -521,14 +590,14 @@ func (it *rowLimitIter) Next() (Row, bool, error) {
 	return row, true, nil
 }
 
-// projectIter evaluates the projection items per row; with aggregates
-// it blocks, draining its input into groups first.
+// projectIter evaluates the projection items per row into a row of
+// column values; with aggregates it blocks, folding its whole input
+// into per-group accumulators first (see aggregates.go).
 type projectIter struct {
-	se     *streamExec
-	items  []*ReturnItem
-	cols   []string
-	hasAgg bool
-	input  rowIter
+	ctx   *evalCtx
+	s     *stage // the stageProject
+	input rowIter
+	rows  rowSlab
 
 	grouped []projected
 	pos     int
@@ -536,17 +605,13 @@ type projectIter struct {
 }
 
 func (it *projectIter) Next() (projected, bool, error) {
-	if it.hasAgg {
+	if it.s.hasAgg {
 		if !it.built {
-			rows, err := drainRows(it.se.ctx, it.input, it.se.ctx.opts.MaxRows)
+			grouped, err := aggregate(it.ctx, it.input, it.s)
 			if err != nil {
 				return projected{}, false, err
 			}
-			it.grouped, err = aggregateRows(it.se.ctx, rows, it.items, it.cols)
-			if err != nil {
-				return projected{}, false, err
-			}
-			it.built = true
+			it.grouped, it.built = grouped, true
 		}
 		if it.pos >= len(it.grouped) {
 			return projected{}, false, nil
@@ -559,39 +624,15 @@ func (it *projectIter) Next() (projected, bool, error) {
 	if err != nil || !ok {
 		return projected{}, false, err
 	}
-	row := make(Row, len(it.items))
-	for i, item := range it.items {
-		v, err := it.se.ctx.eval(item.Expr, src)
+	row := it.rows.alloc(len(it.s.items))
+	for i, item := range it.s.items {
+		v, err := it.ctx.eval(item.Expr, src)
 		if err != nil {
 			return projected{}, false, err
 		}
-		row[it.cols[i]] = v
+		row[i] = v
 	}
 	return projected{row: row, source: src}, true, nil
-}
-
-// drainRows pulls an iterator to exhaustion, erroring past maxRows —
-// the memory bound on blocking operators. ctx polls for cancellation
-// per drained row, so a blocking aggregate over an unbounded scan
-// still aborts promptly.
-func drainRows(ctx *evalCtx, it rowIter, maxRows int) ([]Row, error) {
-	var rows []Row
-	for {
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
-		}
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, row)
-		if len(rows) > maxRows {
-			return nil, ErrTooManyRows
-		}
-	}
 }
 
 // distinctIter keeps the first occurrence of each projected row and
@@ -599,7 +640,6 @@ func drainRows(ctx *evalCtx, it rowIter, maxRows int) ([]Row, error) {
 // projected columns.
 type distinctIter struct {
 	in   projIter
-	cols []string
 	seen map[string]bool
 }
 
@@ -609,7 +649,7 @@ func (it *distinctIter) Next() (projected, bool, error) {
 		if err != nil || !ok {
 			return projected{}, false, err
 		}
-		key := rowKey(pr.row, it.cols)
+		key := graph.ValueKey([]graph.Value(pr.row))
 		if it.seen[key] {
 			continue
 		}
@@ -621,10 +661,9 @@ func (it *distinctIter) Next() (projected, bool, error) {
 
 // sortIter is the blocking full sort (no LIMIT to bound it).
 type sortIter struct {
-	se      *streamExec
-	in      projIter
-	orderBy []*SortItem
-	cols    []string
+	ctx   *evalCtx
+	in    projIter
+	order *orderSpec
 
 	rows  []projected
 	pos   int
@@ -634,7 +673,7 @@ type sortIter struct {
 func (it *sortIter) Next() (projected, bool, error) {
 	if !it.built {
 		for {
-			if err := it.se.ctx.checkCancel(); err != nil {
+			if err := it.ctx.checkCancel(); err != nil {
 				return projected{}, false, err
 			}
 			pr, ok, err := it.in.Next()
@@ -645,11 +684,11 @@ func (it *sortIter) Next() (projected, bool, error) {
 				break
 			}
 			it.rows = append(it.rows, pr)
-			if len(it.rows) > it.se.ctx.opts.MaxRows {
+			if len(it.rows) > it.ctx.opts.MaxRows {
 				return projected{}, false, ErrTooManyRows
 			}
 		}
-		if err := sortProjectedRows(it.se.ctx, it.rows, it.orderBy, it.cols); err != nil {
+		if err := it.order.sortRows(it.ctx, it.rows); err != nil {
 			return projected{}, false, err
 		}
 		it.built = true
@@ -697,11 +736,10 @@ func sortsAfter(orderBy []*SortItem, a, b keyedRow) bool {
 // whenever a better one arrives. Output order — and tie-breaking — is
 // bit-identical to fully sorting and slicing.
 type topKIter struct {
-	se      *streamExec
-	in      projIter
-	orderBy []*SortItem
-	cols    []string
-	k       int
+	ctx   *evalCtx
+	in    projIter
+	order *orderSpec
+	k     int
 
 	kept  []keyedRow
 	pos   int
@@ -710,11 +748,10 @@ type topKIter struct {
 
 func (it *topKIter) Next() (projected, bool, error) {
 	if !it.built {
-		colSet := colSetOf(it.cols)
-		h := &topKHeap{orderBy: it.orderBy}
+		h := newTopKHeap(it.order, it.k)
 		seq := 0
 		for {
-			if err := it.se.ctx.checkCancel(); err != nil {
+			if err := it.ctx.checkCancel(); err != nil {
 				return projected{}, false, err
 			}
 			pr, ok, err := it.in.Next()
@@ -724,29 +761,12 @@ func (it *topKIter) Next() (projected, bool, error) {
 			if !ok {
 				break
 			}
-			keys, err := sortKeysFor(it.se.ctx, pr, it.orderBy, colSet)
-			if err != nil {
+			if err := h.offer(it.ctx, pr, seq, 0); err != nil {
 				return projected{}, false, err
 			}
-			if it.k == 0 {
-				continue
-			}
-			kr := keyedRow{pr: pr, keys: keys, seq: seq}
 			seq++
-			if len(h.items) < it.k {
-				heap.Push(h, kr)
-				continue
-			}
-			// Evict the current worst when the new row sorts before it.
-			if sortsAfter(it.orderBy, h.items[0], kr) {
-				h.items[0] = kr
-				heap.Fix(h, 0)
-			}
 		}
-		it.kept = h.items
-		sort.Slice(it.kept, func(i, j int) bool {
-			return sortsAfter(it.orderBy, it.kept[j], it.kept[i])
-		})
+		it.kept = h.sorted()
 		it.built = true
 	}
 	if it.pos >= len(it.kept) {
@@ -758,15 +778,65 @@ func (it *topKIter) Next() (projected, bool, error) {
 }
 
 // topKHeap is a max-heap on the stable sort order: the root sorts
-// after every other retained row.
+// after every other retained row. Keys are computed into a scratch
+// tuple and copied only for rows the heap keeps, so a long input costs
+// no allocation per rejected row.
 type topKHeap struct {
-	items   []keyedRow
-	orderBy []*SortItem
+	items []keyedRow
+	order *orderSpec
+	k     int
+	keys  []graph.Value // scratch key tuple
+	scope Row           // scratch ORDER BY scope frame
+}
+
+func newTopKHeap(order *orderSpec, k int) *topKHeap {
+	return &topKHeap{order: order, k: k, keys: make([]graph.Value, len(order.items))}
+}
+
+// offer computes pr's sort keys — for every row, so key errors surface
+// exactly as a full sort would raise them — and keeps pr when it ranks
+// among the first k rows seen so far.
+func (h *topKHeap) offer(ctx *evalCtx, pr projected, seq, seq2 int) error {
+	if err := h.order.keysFor(ctx, pr, h.keys, &h.scope); err != nil {
+		return err
+	}
+	if h.k == 0 {
+		return nil
+	}
+	kr := keyedRow{pr: pr, keys: h.keys, seq: seq, seq2: seq2}
+	if len(h.items) < h.k {
+		kr.keys = append([]graph.Value(nil), h.keys...)
+		heap.Push(h, kr)
+		return nil
+	}
+	// Evict the current worst when the new row sorts before it, reusing
+	// its key tuple.
+	if sortsAfter(h.order.items, h.items[0], kr) {
+		kr.keys = h.items[0].keys
+		copy(kr.keys, h.keys)
+		h.items[0] = kr
+		heap.Fix(h, 0)
+	}
+	return nil
+}
+
+// sorted returns the retained rows in ORDER BY order.
+func (h *topKHeap) sorted() []keyedRow {
+	kept := h.items
+	sortKeyed(h.order.items, kept)
+	return kept
+}
+
+// sortKeyed sorts keyed rows into the stable ORDER BY order.
+func sortKeyed(orderBy []*SortItem, rows []keyedRow) {
+	sort.Slice(rows, func(i, j int) bool {
+		return sortsAfter(orderBy, rows[j], rows[i])
+	})
 }
 
 func (h *topKHeap) Len() int { return len(h.items) }
 func (h *topKHeap) Less(i, j int) bool {
-	return sortsAfter(h.orderBy, h.items[i], h.items[j])
+	return sortsAfter(h.order.items, h.items[i], h.items[j])
 }
 func (h *topKHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *topKHeap) Push(x any)    { h.items = append(h.items, x.(keyedRow)) }
@@ -822,13 +892,27 @@ func (it *limitIter) Next() (projected, bool, error) {
 	return pr, true, nil
 }
 
-// stripIter adapts the projection sub-pipeline back to plain rows.
-type stripIter struct{ in projIter }
+// stripIter adapts the projection sub-pipeline back to plain rows. A
+// RETURN's rows are its column values in column order; a WITH's rows
+// are fresh frames binding only its columns, which severs the scope
+// before the clauses that follow.
+type stripIter struct {
+	ctx  *evalCtx
+	in   projIter
+	proj *stage // the stageProject of the pipeline
+}
 
 func (it *stripIter) Next() (Row, bool, error) {
 	pr, ok, err := it.in.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return pr.row, true, nil
+	if it.proj.final {
+		return pr.row, true, nil
+	}
+	frame := it.ctx.newFrame()
+	for i, s := range it.proj.colSlots {
+		frame[s] = pr.row[i]
+	}
+	return frame, true, nil
 }

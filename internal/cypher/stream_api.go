@@ -108,8 +108,9 @@ func executeQueryStream(ctx context.Context, g *graph.Graph, q *Query, plan *que
 		r = g.View()
 	}
 	s := &Stream{
-		cols:      plan.parts[0].cols,
-		se:        &streamExec{ctx: &evalCtx{g: g, r: r, params: normParams, opts: opts, plan: plan, ctx: ctx}},
+		cols: plan.parts[0].cols,
+		se: &streamExec{ctx: &evalCtx{g: g, r: r, params: normParams, opts: opts, plan: plan,
+			width: plan.layout.frameWidth, scopeWidth: plan.layout.width(), ctx: ctx}},
 		parts:     plan.parts,
 		lastDedup: plan.lastDedup,
 		rowLimit:  opts.RowLimit,
@@ -209,7 +210,7 @@ func (s *Stream) pull() ([]graph.Value, int, bool, error) {
 				return nil, 0, false, err
 			}
 			s.se.par = s.parts[s.partIdx].par
-			it, err := s.se.build(s.parts[s.partIdx].root)
+			it, err := s.se.build(s.parts[s.partIdx].root, false)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -230,11 +231,8 @@ func (s *Stream) pull() ([]graph.Value, int, bool, error) {
 		if s.cols == nil {
 			continue
 		}
-		vals := make([]graph.Value, len(s.cols))
-		for j, c := range s.cols {
-			vals[j] = row[c]
-		}
-		return vals, s.partIdx, true, nil
+		// A RETURN pipeline yields its column values, in column order.
+		return row, s.partIdx, true, nil
 	}
 }
 

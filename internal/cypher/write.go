@@ -74,6 +74,30 @@ func (w *writeIter) run() error {
 	return nil
 }
 
+// drainRows pulls an iterator to exhaustion, erroring past maxRows —
+// the memory bound on a write barrier's input. ctx polls for
+// cancellation per drained row, so a barrier over an unbounded scan
+// still aborts promptly.
+func drainRows(ctx *evalCtx, it rowIter, maxRows int) ([]Row, error) {
+	var rows []Row
+	for {
+		if err := ctx.checkCancel(); err != nil {
+			return nil, err
+		}
+		row, ok, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return rows, nil
+		}
+		rows = append(rows, row)
+		if len(rows) > maxRows {
+			return nil, ErrTooManyRows
+		}
+	}
+}
+
 // execCreate instantiates each pattern once per binding row, reusing
 // bound endpoint variables and creating everything unbound.
 func (w *writeIter) execCreate(c *CreateClause) error {
@@ -124,29 +148,26 @@ func (w *writeIter) createPattern(pat *Pattern, row Row) error {
 		}
 		w.se.stats.RelationshipsCreated++
 		w.se.stats.PropertiesSet += len(props)
-		if rp.Var != "" {
-			row[rp.Var] = r
+		if rp.slot >= 0 {
+			row[rp.slot] = r
 		}
 	}
-	if pat.PathVar != "" {
-		p := graph.Path{Nodes: nodes}
-		row[pat.PathVar] = p
+	if pat.pathSlot >= 0 {
+		row[pat.pathSlot] = graph.Path{Nodes: nodes}
 	}
 	return nil
 }
 
 func (w *writeIter) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, error) {
-	if np.Var != "" {
-		if v, bound := row[np.Var]; bound {
-			n, ok := v.(*graph.Node)
-			if !ok {
-				return nil, evalErrorf("variable `%s` is not a node", np.Var)
-			}
-			if len(np.Labels) > 0 || len(np.Props) > 0 {
-				return nil, evalErrorf("cannot add labels or properties to bound variable `%s` in CREATE", np.Var)
-			}
-			return n, nil
+	if v, bound := row.get(np.slot); bound {
+		n, ok := v.(*graph.Node)
+		if !ok {
+			return nil, evalErrorf("variable `%s` is not a node", np.Var)
 		}
+		if len(np.Labels) > 0 || len(np.Props) > 0 {
+			return nil, evalErrorf("cannot add labels or properties to bound variable `%s` in CREATE", np.Var)
+		}
+		return n, nil
 	}
 	props, err := w.evalPropMap(np.Props, row)
 	if err != nil {
@@ -159,8 +180,8 @@ func (w *writeIter) resolveOrCreateNode(np *NodePattern, row Row) (*graph.Node, 
 	w.se.stats.NodesCreated++
 	w.se.stats.PropertiesSet += len(props)
 	w.se.stats.LabelsAdded += len(np.Labels)
-	if np.Var != "" {
-		row[np.Var] = n
+	if np.slot >= 0 {
+		row[np.slot] = n
 	}
 	return n, nil
 }
@@ -187,10 +208,9 @@ func (w *writeIter) execMerge(m *MergeClause) error {
 	}
 	var out []Row
 	for _, row := range w.rows {
-		matcher := &matcher{ctx: w.se.ctx, usedRels: map[int64]bool{}}
 		var matches []Row
-		err := matcher.match(m.Pattern, row, func(r Row) bool {
-			matches = append(matches, r)
+		err := newMatcher(w.se.ctx, nil).match(m.Pattern, row, func(r Row) bool {
+			matches = append(matches, w.se.ctx.copyFrame(r))
 			return true
 		})
 		if err != nil {
@@ -205,7 +225,7 @@ func (w *writeIter) execMerge(m *MergeClause) error {
 			}
 			continue
 		}
-		created := row.clone()
+		created := w.se.ctx.copyFrame(row)
 		// MERGE creation requires directed single-type relationships like
 		// CREATE.
 		for _, rp := range m.Pattern.Rels {
@@ -233,15 +253,13 @@ func (w *writeIter) execMerge(m *MergeClause) error {
 func (w *writeIter) createMergePattern(pat *Pattern, row Row) error {
 	nodes := make([]*graph.Node, len(pat.Nodes))
 	for i, np := range pat.Nodes {
-		if np.Var != "" {
-			if v, bound := row[np.Var]; bound {
-				n, ok := v.(*graph.Node)
-				if !ok {
-					return evalErrorf("variable `%s` is not a node", np.Var)
-				}
-				nodes[i] = n
-				continue
+		if v, bound := row.get(np.slot); bound {
+			n, ok := v.(*graph.Node)
+			if !ok {
+				return evalErrorf("variable `%s` is not a node", np.Var)
 			}
+			nodes[i] = n
+			continue
 		}
 		props, err := w.evalPropMap(np.Props, row)
 		if err != nil {
@@ -254,8 +272,8 @@ func (w *writeIter) createMergePattern(pat *Pattern, row Row) error {
 		w.se.stats.NodesCreated++
 		w.se.stats.PropertiesSet += len(props)
 		w.se.stats.LabelsAdded += len(np.Labels)
-		if np.Var != "" {
-			row[np.Var] = n
+		if np.slot >= 0 {
+			row[np.slot] = n
 		}
 		nodes[i] = n
 	}
@@ -274,8 +292,8 @@ func (w *writeIter) createMergePattern(pat *Pattern, row Row) error {
 		}
 		w.se.stats.RelationshipsCreated++
 		w.se.stats.PropertiesSet += len(props)
-		if rp.Var != "" {
-			row[rp.Var] = r
+		if rp.slot >= 0 {
+			row[rp.slot] = r
 		}
 	}
 	return nil
@@ -292,7 +310,7 @@ func (w *writeIter) execSet(items []*SetItem) error {
 
 func (w *writeIter) applySetItems(items []*SetItem, row Row) error {
 	for _, it := range items {
-		v, bound := row[it.Var]
+		v, bound := row.get(it.slot)
 		if !bound {
 			return evalErrorf("variable `%s` not defined", it.Var)
 		}
@@ -336,7 +354,7 @@ func (w *writeIter) applySetItems(items []*SetItem, row Row) error {
 func (w *writeIter) execRemove(rc *RemoveClause) error {
 	for _, row := range w.rows {
 		for _, it := range rc.Items {
-			v, bound := row[it.Var]
+			v, bound := row.get(it.slot)
 			if !bound {
 				return evalErrorf("variable `%s` not defined", it.Var)
 			}

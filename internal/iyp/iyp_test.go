@@ -57,6 +57,29 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildPopulationDeterministic checks that two builds of one config
+// give identical POPULATION relationships, figures included.
+func TestBuildPopulationDeterministic(t *testing.T) {
+	const q = "MATCH (a:AS)-[p:POPULATION]->(c:Country) " +
+		"RETURN a.asn, c.country_code, p.percent, p.samples ORDER BY a.asn, c.country_code"
+	var runs [2]*cypher.Result
+	for i := range runs {
+		g, _, err := Build(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i], err = cypher.Execute(g, q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(runs[0].Rows) == 0 {
+		t.Fatal("no POPULATION relationships")
+	}
+	if fmt.Sprint(runs[0].Rows) != fmt.Sprint(runs[1].Rows) {
+		t.Fatalf("POPULATION differs between builds:\n%v\n%v", runs[0].Rows, runs[1].Rows)
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.Seed = 99

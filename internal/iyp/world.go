@@ -306,12 +306,19 @@ func NewWorld(cfg Config) *World {
 	}
 
 	// Population estimates: the biggest eyeball ASes per country carry
-	// the population share.
+	// the population share. Countries draw in code order, so every
+	// build of one config draws the same shares.
 	byCountry := map[string][]int{}
 	for i := range w.ASes {
 		byCountry[w.ASes[i].Country.Code] = append(byCountry[w.ASes[i].Country.Code], i)
 	}
-	for _, idxs := range byCountry {
+	codes := make([]string, 0, len(byCountry))
+	for code := range byCountry {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	for _, code := range codes {
+		idxs := byCountry[code]
 		remaining := 100.0
 		for k, i := range idxs {
 			if k >= 5 {

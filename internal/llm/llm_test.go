@@ -221,6 +221,22 @@ func TestCorruptProducesParseableCypher(t *testing.T) {
 	}
 }
 
+// TestCorruptDeterministic pins corrupt to one output per (query,
+// hash): the query below matches several relationship and property
+// confusions, so picking among them in map order would vary by call.
+func TestCorruptDeterministic(t *testing.T) {
+	q := "MATCH (a:AS)-[:DEPENDS_ON]->(b:AS)-[p:POPULATION]->(c:Country)<-[:COUNTRY]-(:AS)-[:ORIGINATE]->(:Prefix) " +
+		"RETURN p.percent, c.country_code, a.hegemony"
+	for h := uint64(0); h < 4; h++ {
+		want := corrupt(q, h)
+		for i := 0; i < 200; i++ {
+			if got := corrupt(q, h); got != want {
+				t.Fatalf("corrupt(q, %d) call %d = %q, first call gave %q", h, i, got, want)
+			}
+		}
+	}
+}
+
 func TestAnswerSingleFact(t *testing.T) {
 	m := sim(t)
 	resp, err := m.Complete(context.Background(), Request{

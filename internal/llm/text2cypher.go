@@ -626,24 +626,25 @@ func rules() []rule {
 // corruption sets: schema-plausible substitutions the head makes when it
 // errs, matching the qualitative failure modes reported for LLM
 // text-to-Cypher (wrong relationship, flipped direction, wrong
-// property).
-var relConfusion = map[string]string{
-	"POPULATION":                 "COUNTRY",
-	"COUNTRY":                    "POPULATION",
-	"DEPENDS_ON":                 "PEERS_WITH",
-	"PEERS_WITH":                 "DEPENDS_ON",
-	"ORIGINATE":                  "ROUTE_ORIGIN_AUTHORIZATION",
-	"ROUTE_ORIGIN_AUTHORIZATION": "ORIGINATE",
-	"MEMBER_OF":                  "LOCATED_IN",
-	"MANAGED_BY":                 "NAME",
+// property). They are ordered: corrupt applies the first one that
+// matches, so one question always corrupts the same way.
+type confusion struct{ from, to string }
+
+var relConfusion = []confusion{
+	{"POPULATION", "COUNTRY"},
+	{"COUNTRY", "POPULATION"},
+	{"DEPENDS_ON", "PEERS_WITH"},
+	{"PEERS_WITH", "DEPENDS_ON"},
+	{"ORIGINATE", "ROUTE_ORIGIN_AUTHORIZATION"},
+	{"ROUTE_ORIGIN_AUTHORIZATION", "ORIGINATE"},
+	{"MEMBER_OF", "LOCATED_IN"},
+	{"MANAGED_BY", "NAME"},
 }
 
-var propConfusion = map[string]string{
-	"percent":      "samples",
-	"country_code": "alpha3",
-	"hegemony":     "rel",
-	"rank":         "rank",
-	"name":         "name",
+var propConfusion = []confusion{
+	{"percent", "samples"},
+	{"country_code", "alpha3"},
+	{"hegemony", "rel"},
 }
 
 // corrupt applies one deterministic schema-plausible mutation.
@@ -651,9 +652,9 @@ func corrupt(query string, h uint64) string {
 	type mutation func(string) (string, bool)
 	mutations := []mutation{
 		func(q string) (string, bool) { // swap a relationship type
-			for from, to := range relConfusion {
-				if strings.Contains(q, ":"+from) {
-					return strings.Replace(q, ":"+from, ":"+to, 1), true
+			for _, c := range relConfusion {
+				if strings.Contains(q, ":"+c.from) {
+					return strings.Replace(q, ":"+c.from, ":"+c.to, 1), true
 				}
 			}
 			return q, false
@@ -668,9 +669,9 @@ func corrupt(query string, h uint64) string {
 			return q, false
 		},
 		func(q string) (string, bool) { // swap a property
-			for from, to := range propConfusion {
-				if from != to && strings.Contains(q, "."+from) {
-					return strings.Replace(q, "."+from, "."+to, 1), true
+			for _, c := range propConfusion {
+				if strings.Contains(q, "."+c.from) {
+					return strings.Replace(q, "."+c.from, "."+c.to, 1), true
 				}
 			}
 			return q, false
