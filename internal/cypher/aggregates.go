@@ -83,12 +83,8 @@ type aggAcc struct {
 	n    int64                 // non-null (and, under DISTINCT, distinct) arguments seen
 	best graph.Value           // min, max
 	vals []graph.Value         // every other aggregate
-	seen *valueIndex[struct{}] // DISTINCT values other than nodes
-	// nodes is the DISTINCT filter for nodes: a bitmap indexed by node
-	// ID. IDs are dense, so it costs a bit per ID instead of a map
-	// entry per node.
-	nodes []uint64
-	err   error // first argument error, in row order
+	seen *valueIndex[struct{}] // DISTINCT arguments seen
+	err  error                 // first argument error, in row order
 }
 
 // aggState is the grouping table of one aggregation: its groups in
@@ -256,26 +252,9 @@ func (a *aggAcc) add(ctx *evalCtx, x *FuncCall, row Row) {
 	a.n++
 }
 
-// maxNodeBitmapID bounds the node IDs a DISTINCT bitmap covers (512
-// KiB of bits); larger IDs take the map.
-const maxNodeBitmapID = 1 << 22
-
 // firstSeen reports whether v is new to a DISTINCT accumulator, under
-// graph.ValueKey equality: a node is equal only to itself (by ID).
+// graph.ValueKey equality.
 func (a *aggAcc) firstSeen(v graph.Value) bool {
-	if n, ok := v.(*graph.Node); ok && n.ID >= 0 && n.ID < maxNodeBitmapID {
-		w, bit := int(n.ID>>6), uint64(1)<<(n.ID&63)
-		if w >= len(a.nodes) {
-			grown := make([]uint64, max(w+1, 2*len(a.nodes)))
-			copy(grown, a.nodes)
-			a.nodes = grown
-		}
-		if a.nodes[w]&bit != 0 {
-			return false
-		}
-		a.nodes[w] |= bit
-		return true
-	}
 	if a.seen == nil {
 		a.seen = &valueIndex[struct{}]{}
 	}

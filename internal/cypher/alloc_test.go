@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"chatiyp/internal/graph"
@@ -11,7 +12,7 @@ import (
 // from slabs, aggregation folds rows into per-group accumulators, and
 // the top-k heap copies keys only for the rows it keeps, so a query's
 // allocations no longer grow with one map per binding. Each bound is
-// about 1.5x the count measured when the frames landed (99, 47 and 222
+// about 1.5x the count measured when the frames landed (99, 47 and 422
 // allocations). The map-based executor made 20,030, 24,276 and 118,938
 // on the same queries, so a return to per-binding allocation fails
 // here long before it shows in a benchmark.
@@ -72,5 +73,53 @@ func TestAllocsGroupCount(t *testing.T) {
 func TestAllocsTwoHopDistinctTopK(t *testing.T) {
 	g := allocGraph(t, 2000)
 	checkAllocs(t, g, "MATCH (a:V)-[:E]->(b:V)-[:E]->(c:V) "+
-		"RETURN c.g AS g, count(DISTINCT a) AS n ORDER BY n DESC, g LIMIT 5", 5, 330)
+		"RETURN c.g AS g, count(DISTINCT a) AS n ORDER BY n DESC, g LIMIT 5", 5, 630)
+}
+
+// TestAllocsDistinctNodeBytesPerGroup bounds the memory of a many-group
+// count(DISTINCT node) over high node IDs. Each group's DISTINCT filter
+// must cost memory by the values it has seen, not by the magnitude of
+// their IDs: node IDs only grow as a graph is written to.
+func TestAllocsDistinctNodeBytesPerGroup(t *testing.T) {
+	const groups, members = 500, 2
+	g := graph.New()
+	// Node IDs start above three million, as in a graph that has
+	// created and deleted that many nodes.
+	if err := g.ApplyMutation(graph.Mutation{Kind: graph.MutCreateNode, NodeID: 3_000_000, Labels: []string{"Pad"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < groups; i++ {
+		head := g.MustCreateNode([]string{"G"}, map[string]any{"k": i}).ID
+		for j := 0; j < members; j++ {
+			m := g.MustCreateNode([]string{"M"}, nil).ID
+			g.MustCreateRelationship(head, m, "H", nil)
+			g.MustCreateRelationship(head, m, "H", nil) // a duplicate DISTINCT drops
+		}
+	}
+	pq, err := Prepare("MATCH (h:G)-[:H]->(m:M) RETURN h.k AS k, count(DISTINCT m) AS n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxParallelism: 1}
+	res, err := pq.Execute(g, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != groups || res.Rows[0][1] != int64(members) {
+		t.Fatalf("%d rows, first %v; want %d rows of n = %d", len(res.Rows), res.Rows[0], groups, members)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := pq.Execute(g, nil, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perGroup := float64(after.TotalAlloc-before.TotalAlloc) / runs / groups
+	t.Logf("%.0f bytes allocated per group", perGroup)
+	if perGroup > 2048 {
+		t.Errorf("%.0f bytes allocated per group, want <= 2048", perGroup)
+	}
 }

@@ -24,8 +24,8 @@ func slowFixture(t testing.TB, n int) *graph.Graph {
 // slowQuery is a three-way cross product with a blocking aggregate:
 // every row flows through match iterators into the aggregate drain.
 // n=60 gives 216k rows — noticeable work, far below MaxRows; the
-// mid-run cancellation tests use n=150 (3.4M rows), so the query is
-// still running when their 25ms cancel fires.
+// mid-run cancellation and deadline tests use n=150 (3.4M rows), so
+// the query is still running when their 10-25ms cancel fires.
 const slowQuery = "MATCH (a:N) MATCH (b:N) MATCH (c:N) RETURN count(*)"
 
 func TestExecuteContextPreCanceled(t *testing.T) {
@@ -110,7 +110,7 @@ func TestCancelWriteQueryAppliesNoWrites(t *testing.T) {
 }
 
 func TestDeadlineExceededDistinguishable(t *testing.T) {
-	g := slowFixture(t, 60)
+	g := slowFixture(t, 150)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	_, err := ExecuteContext(ctx, g, slowQuery, nil)

@@ -26,12 +26,10 @@ type evalCtx struct {
 	// hints); nil for ad-hoc execution, which plans each MATCH on the
 	// fly.
 	plan *queryPlan
-	// width is the pipeline frame width of the query's slot layout and
-	// scopeWidth the width of its ORDER BY scope frames (see
-	// slotLayout); frames is the slab new frames are carved from.
-	width      int
-	scopeWidth int
-	frames     rowSlab
+	// width is the frame width of the query's slot layout; frames is
+	// the slab new frames are carved from.
+	width  int
+	frames rowSlab
 	// ctx is the execution's cancellation context (nil means
 	// uncancelable); cancelSteps counts executor steps toward the next
 	// periodic poll (see checkCancel in context.go).

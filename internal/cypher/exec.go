@@ -203,7 +203,7 @@ func (o *orderSpec) keysFor(ctx *evalCtx, pr projected, keys []graph.Value, scop
 		}
 		if !built {
 			if *scope == nil {
-				*scope = make(Row, ctx.scopeWidth)
+				*scope = make(Row, ctx.width)
 			}
 			sc := *scope
 			n := copy(sc, pr.source)

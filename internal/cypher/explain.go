@@ -64,7 +64,7 @@ func renderStages(b *strings.Builder, g *graph.Graph, l *slotLayout, sp *stagePl
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
-	ctx := &evalCtx{g: g, r: g, opts: opts, width: l.frameWidth, scopeWidth: l.width()}
+	ctx := &evalCtx{g: g, r: g, opts: opts, width: l.width()}
 	bound := map[string]bool{}
 	for _, s := range chain {
 		switch s.kind {

@@ -373,14 +373,13 @@ func (r *parallelRun) worker() {
 	defer r.wg.Done()
 	src := r.se.ctx
 	ws := &streamExec{ctx: &evalCtx{
-		g:          src.g,
-		r:          src.r, // the execution's immutable snapshot
-		params:     src.params,
-		opts:       src.opts,
-		plan:       src.plan,
-		width:      src.width,
-		scopeWidth: src.scopeWidth,
-		ctx:        src.ctx,
+		g:      src.g,
+		r:      src.r, // the execution's immutable snapshot
+		params: src.params,
+		opts:   src.opts,
+		plan:   src.plan,
+		width:  src.width,
+		ctx:    src.ctx,
 	}}
 	var h *topKHeap
 	if r.seg.mode == parTopK {

@@ -70,10 +70,6 @@ func planQuery(g *graph.Graph, q *Query, opts Options) *queryPlan {
 		layout:         q.layout,
 		lastDedup:      -1,
 	}
-	if p.layout == nil {
-		// A query assembled by hand rather than by Parse.
-		p.layout = resolveSlots(q)
-	}
 	p.planInto(g, q, opts)
 
 	for i, part := range append([]*Query{q}, unionQueries(q)...) {

@@ -13,12 +13,8 @@ import (
 // store and copying a row is one copy() of a few words.
 //
 // One layout covers the whole query, UNION parts included: a name has
-// the same slot wherever it appears. The names a pipeline frame can
-// bind — pattern, UNWIND and comprehension variables and WITH columns
-// — come first; RETURN columns and names only ORDER BY mentions come
-// after them. Those are bound only in the scratch frame ORDER BY keys
-// evaluate in, so the frames flowing between operators stop at the
-// last binding slot.
+// the same slot wherever it appears, and every frame has a slot for
+// every name.
 //
 // Scoping is dynamic: a slot holding the unbound marker has no
 // binding, which is distinct from a binding to null, and evaluating a
@@ -67,14 +63,8 @@ func (r Row) unbindAll() {
 // by resolveSlots while parsing and never changes afterwards, so every
 // plan and execution of the query shares it without locking.
 type slotLayout struct {
-	index map[string]int
-	// frameWidth is the number of slots a pipeline frame holds: the
-	// binding names. Slots past it exist only in ORDER BY scope frames.
-	frameWidth int
-	// deferFinal holds RETURN columns back while the binding names are
-	// numbered; frozen marks the finished layout.
-	deferFinal bool
-	frozen     bool
+	index  map[string]int
+	frozen bool // set once the layout is built
 }
 
 // slot returns the slot of name, assigning the next free one while the
@@ -95,38 +85,21 @@ func (l *slotLayout) slot(name string) int {
 	return s
 }
 
-// width is the number of slots in an ORDER BY scope frame: every name
-// of the query.
+// width is the number of slots in a frame: every name of the query.
 func (l *slotLayout) width() int { return len(l.index) }
 
 // resolveSlots builds the slot layout of a parsed query and writes the
-// slots into its AST. Projection column names come from the same
-// buildStages pass that plans the query, so the planner finds every
-// column it derives already numbered. The binding names are numbered
-// first (see frameWidth).
+// slots into its AST. Projection column names come from a buildStages
+// pass like the one that plans the query, so the planner finds every
+// column it derives already numbered.
 func resolveSlots(q *Query) *slotLayout {
-	l := &slotLayout{index: map[string]int{}, deferFinal: true}
-	parts := append([]*Query{q}, unionQueries(q)...)
-	for _, part := range parts {
+	l := &slotLayout{index: map[string]int{}}
+	for _, part := range append([]*Query{q}, unionQueries(q)...) {
 		for _, cl := range part.Clauses {
 			l.clause(cl)
 		}
-	}
-	for _, part := range parts {
 		// Errors are the planner's to report; a part that fails here
 		// fails identically when it is planned.
-		_, _ = buildStages(part, l, nil)
-	}
-	l.frameWidth, l.deferFinal = len(l.index), false
-	for _, part := range parts {
-		for _, cl := range part.Clauses {
-			switch x := cl.(type) {
-			case *WithClause:
-				l.orderBy(x.OrderBy)
-			case *ReturnClause:
-				l.orderBy(x.OrderBy)
-			}
-		}
 		_, _ = buildStages(part, l, nil)
 	}
 	l.frozen = true
@@ -144,10 +117,10 @@ func (l *slotLayout) clause(cl Clause) {
 		l.expr(x.Expr)
 		x.slot = l.slot(x.Alias)
 	case *WithClause:
-		l.projection(x.Items, x.Skip, x.Limit)
+		l.projection(x.Items, x.OrderBy, x.Skip, x.Limit)
 		l.expr(x.Where)
 	case *ReturnClause:
-		l.projection(x.Items, x.Skip, x.Limit)
+		l.projection(x.Items, x.OrderBy, x.Skip, x.Limit)
 	case *CreateClause:
 		for _, p := range x.Patterns {
 			l.pattern(p)
@@ -169,20 +142,17 @@ func (l *slotLayout) clause(cl Clause) {
 	}
 }
 
-// projection numbers the names a projection's items, SKIP and LIMIT
-// mention; its ORDER BY is numbered with the scope-only names.
-func (l *slotLayout) projection(items []*ReturnItem, skip, limit Expr) {
+// projection numbers the names a projection's items, ORDER BY, SKIP
+// and LIMIT mention.
+func (l *slotLayout) projection(items []*ReturnItem, orderBy []*SortItem, skip, limit Expr) {
 	for _, it := range items {
 		l.expr(it.Expr)
 	}
-	l.expr(skip)
-	l.expr(limit)
-}
-
-func (l *slotLayout) orderBy(items []*SortItem) {
-	for _, si := range items {
+	for _, si := range orderBy {
 		l.expr(si.Expr)
 	}
+	l.expr(skip)
+	l.expr(limit)
 }
 
 func (l *slotLayout) setItems(items []*SetItem) {

@@ -182,9 +182,6 @@ func buildProjection(input *stage, l *slotLayout, scope []string, items []*Retur
 	}
 	colSlots := make([]int, len(cols))
 	for i, c := range cols {
-		if final && l.deferFinal {
-			continue
-		}
 		colSlots[i] = l.slot(c)
 	}
 	root := &stage{kind: stageProject, input: input, items: expanded, cols: cols, colSlots: colSlots,

@@ -110,7 +110,7 @@ func executeQueryStream(ctx context.Context, g *graph.Graph, q *Query, plan *que
 	s := &Stream{
 		cols: plan.parts[0].cols,
 		se: &streamExec{ctx: &evalCtx{g: g, r: r, params: normParams, opts: opts, plan: plan,
-			width: plan.layout.frameWidth, scopeWidth: plan.layout.width(), ctx: ctx}},
+			width: plan.layout.width(), ctx: ctx}},
 		parts:     plan.parts,
 		lastDedup: plan.lastDedup,
 		rowLimit:  opts.RowLimit,
