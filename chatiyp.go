@@ -84,9 +84,6 @@ type Options struct {
 	// stages.
 	DisableVectorFallback bool
 	DisableReranker       bool
-	// PlanCacheSize caps the prepared-query plan cache: 0 means the
-	// default capacity, negative disables caching entirely.
-	PlanCacheSize int
 	// ANNRetrieval serves vector-fallback retrieval from the
 	// approximate HNSW index instead of the exact scan (sub-linear in
 	// corpus size; see docs/RETRIEVAL.md).
@@ -177,7 +174,6 @@ func FromGraph(g *graph.Graph, world *iyp.World, opts Options) (*System, error) 
 		Model:                 model,
 		DisableVectorFallback: opts.DisableVectorFallback,
 		DisableReranker:       opts.DisableReranker,
-		PlanCacheSize:         opts.PlanCacheSize,
 		ANNRetrieval:          opts.ANNRetrieval,
 		SemCacheThreshold:     opts.SemCacheThreshold,
 		SemCacheSize:          opts.SemCacheSize,

@@ -326,8 +326,8 @@ func (c *Client) Ready(ctx context.Context) (*api.ReadyResponse, error) {
 }
 
 // decodeAPIError turns a non-200 response into an *APIError. Envelope
-// bodies fill in the stable code; anything else (a proxy's HTML, a
-// legacy shape) degrades to the raw body as the message. The body is
+// bodies fill in the stable code; anything else (a proxy's HTML or
+// plain-text error) degrades to the raw body as the message. The body is
 // drained but not closed.
 func decodeAPIError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))

@@ -1,8 +1,7 @@
 // Command chatiyp-server runs the ChatIYP web application: the
 // versioned /v1/ API (ask, batch ask, Cypher over JSON / paginated
 // JSON / streaming NDJSON, explain, schema, stats, metrics — see
-// docs/API.md), the deprecated /api/* shims, and the embedded
-// single-page UI, mirroring the paper's public deployment.
+// docs/API.md) and the embedded single-page UI, mirroring the paper's public deployment.
 //
 // Usage:
 //
@@ -37,7 +36,7 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "max concurrently executing ask/cypher requests (0 = 2x GOMAXPROCS)")
 		maxQueue      = flag.Int("max-queue", 0, "max requests waiting for a slot before 429 (0 = 4x max-concurrent, negative disables queueing)")
 		askTimeout    = flag.Duration("ask-timeout", 0, "per-question deadline, aborts execution (0 = 15s default)")
-		cypherTimeout = flag.Duration("cypher-timeout", 0, "per-query deadline on /api/cypher (0 = 10s default)")
+		cypherTimeout = flag.Duration("cypher-timeout", 0, "per-query deadline on /v1/cypher (0 = 10s default)")
 		drainTimeout  = flag.Duration("drain-timeout", 0, "graceful-shutdown budget for in-flight requests (0 = 5s default)")
 		maxPar        = flag.Int("max-parallelism", 0, "max morsel workers per query (0 = GOMAXPROCS, 1 = serial execution)")
 		annRetr       = flag.Bool("ann-retrieval", false, "serve vector retrieval from the approximate HNSW index instead of the exact scan")

@@ -76,13 +76,6 @@ type Config struct {
 	SemCacheSize int
 	// ExecOptions tunes Cypher execution.
 	ExecOptions cypher.Options
-	// PlanCacheSize caps the prepared-query plan cache. Zero means
-	// cypher.DefaultPlanCacheCapacity; negative disables caching (every
-	// query re-parses, as before the cache existed). The pipeline's
-	// workload is template-shaped — the simulated translator emits the
-	// same few dozen query skeletons over and over — so the cache turns
-	// the per-question parse into a lookup.
-	PlanCacheSize int
 	// Metrics receives runtime counters (plan-cache hits/misses, asks,
 	// Cypher executions). Nil means metrics.Default.
 	Metrics *metrics.Registry
@@ -129,8 +122,8 @@ type Pipeline struct {
 	embedder  *embed.Embedder
 	index     vector.Searcher // exact Index, or HNSW when ANNRetrieval
 	lexicon   *llm.Lexicon
-	plans     *cypher.PlanCache // nil when caching is disabled
-	semcache  *semCache         // nil when the semantic cache is disabled
+	plans     *cypher.PlanCache
+	semcache  *semCache // nil when the semantic cache is disabled
 	metrics   *metrics.Registry
 	baseModel llm.Model                  // the unwrapped Config.Model
 	resilient *resilience.ResilientModel // nil until resilience is enabled
@@ -155,9 +148,10 @@ func New(cfg Config) (*Pipeline, error) {
 		p.resilient = resilience.Wrap(p.baseModel, *cfg.Resilience, p.metrics)
 		p.cfg.Model = p.resilient
 	}
-	if cfg.PlanCacheSize >= 0 {
-		p.plans = cypher.NewPlanCache(cfg.PlanCacheSize)
-	}
+	// The workload is template-shaped (the translator emits the same few
+	// dozen query skeletons over and over), so the cache turns the
+	// per-question parse into a lookup.
+	p.plans = cypher.NewPlanCache(cypher.DefaultPlanCacheCapacity)
 	p.lexicon = BuildLexicon(cfg.Graph)
 	descs := iyp.Describe(cfg.Graph)
 	corpus := make([]string, len(descs))
@@ -757,7 +751,7 @@ func (p *Pipeline) QueryContext(ctx context.Context, query string, params map[st
 // once rowLimit rows are produced and sets Result.Truncated
 // instead of erroring. A configured Config.ExecOptions.RowLimit that
 // is tighter wins; rowLimit <= 0 means no extra cap. This is the
-// entry point internal/server uses for POST /api/cypher, so one user
+// entry point internal/server uses for POST /v1/cypher, so one user
 // query cannot hold a worker for an unbounded scan — and with ctx
 // carrying the endpoint deadline, not even for the capped one.
 func (p *Pipeline) QueryLimitedContext(ctx context.Context, query string, params map[string]any, rowLimit int) (*cypher.Result, error) {
@@ -783,9 +777,6 @@ func (p *Pipeline) QueryStreamContext(ctx context.Context, query string, params 
 		opts.RowLimit = rowLimit
 	}
 	p.metrics.Counter("cypher.executions").Inc()
-	if p.plans == nil {
-		return cypher.ExecuteStreamContext(ctx, p.cfg.Graph, query, params, opts)
-	}
 	pq, err := p.plans.Prepare(query)
 	if err != nil {
 		return nil, err
@@ -795,7 +786,7 @@ func (p *Pipeline) QueryStreamContext(ctx context.Context, query string, params 
 
 // execCypher is the single Cypher entry point of the pipeline: every
 // query — LLM-generated, gold, or user-supplied — goes through the
-// prepared-query plan cache (when enabled) so repeated template shapes
+// prepared-query plan cache so repeated template shapes
 // parse once and reuse their index-aware plans. ctx bounds execution;
 // cancellation surfaces as an error matching cypher.ErrCanceled.
 func (p *Pipeline) execCypher(ctx context.Context, query string, params map[string]any) (*cypher.Result, error) {
@@ -804,9 +795,6 @@ func (p *Pipeline) execCypher(ctx context.Context, query string, params map[stri
 
 func (p *Pipeline) execCypherOpts(ctx context.Context, query string, params map[string]any, opts cypher.Options) (*cypher.Result, error) {
 	p.metrics.Counter("cypher.executions").Inc()
-	if p.plans == nil {
-		return cypher.ExecuteWithContext(ctx, p.cfg.Graph, query, params, opts)
-	}
 	pq, err := p.plans.Prepare(query)
 	if err != nil {
 		return nil, err
@@ -814,12 +802,8 @@ func (p *Pipeline) execCypherOpts(ctx context.Context, query string, params map[
 	return pq.ExecuteContext(ctx, p.cfg.Graph, params, opts)
 }
 
-// PlanCacheStats snapshots the plan cache's effectiveness counters. The
-// zero value is returned when caching is disabled.
+// PlanCacheStats snapshots the plan cache's effectiveness counters.
 func (p *Pipeline) PlanCacheStats() cypher.PlanCacheStats {
-	if p.plans == nil {
-		return cypher.PlanCacheStats{}
-	}
 	return p.plans.Stats()
 }
 
@@ -848,13 +832,11 @@ func (p *Pipeline) SetMaxParallelism(n int) {
 // multiple pipelines should give each its own Registry (or read
 // PlanCacheStats directly, which is always per-pipeline).
 func (p *Pipeline) Metrics() *metrics.Registry {
-	if p.plans != nil {
-		s := p.plans.Stats()
-		p.metrics.Counter("cypher.plan_cache.hits").Set(int64(s.Hits))
-		p.metrics.Counter("cypher.plan_cache.misses").Set(int64(s.Misses))
-		p.metrics.Counter("cypher.plan_cache.evictions").Set(int64(s.Evictions))
-		p.metrics.Counter("cypher.plan_cache.size").Set(int64(s.Size))
-	}
+	s := p.plans.Stats()
+	p.metrics.Counter("cypher.plan_cache.hits").Set(int64(s.Hits))
+	p.metrics.Counter("cypher.plan_cache.misses").Set(int64(s.Misses))
+	p.metrics.Counter("cypher.plan_cache.evictions").Set(int64(s.Evictions))
+	p.metrics.Counter("cypher.plan_cache.size").Set(int64(s.Size))
 	// Streaming-executor counters are process-global (like the plan
 	// cache's, they are maintained outside the registry and mirrored at
 	// read time).

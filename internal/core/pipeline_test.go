@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"chatiyp/internal/cypher"
 	"chatiyp/internal/graph"
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/llm"
@@ -451,25 +450,6 @@ func TestQueryUsesPlanCache(t *testing.T) {
 	}
 	if got := p.Metrics().Counter("cypher.plan_cache.hits").Value(); got != int64(s.Hits) {
 		t.Fatalf("metrics counter %d diverges from cache stats %d", got, s.Hits)
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	g, _, err := iyp.Build(iyp.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := llm.DefaultSimConfig(BuildLexicon(g))
-	cfg.ErrorScale = 0
-	p, err := New(Config{Graph: g, Model: llm.NewSim(cfg), PlanCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.QueryContext(context.Background(), "RETURN 1", nil); err != nil {
-		t.Fatal(err)
-	}
-	if s := p.PlanCacheStats(); s != (cypher.PlanCacheStats{}) {
-		t.Fatalf("disabled cache should report zero stats, got %+v", s)
 	}
 }
 

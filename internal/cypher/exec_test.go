@@ -475,6 +475,52 @@ func TestExecSetRemoveDelete(t *testing.T) {
 	}
 }
 
+// TestExecEntityPropertyRejected: SET, CREATE and MERGE refuse a
+// property value that is, or contains, a node or relationship. Stored,
+// SET n.x = n would give n a property map that contains itself, and a
+// later read of n.x recursed until the stack overflowed. The write
+// fails with graph.ErrEntityProperty and leaves the graph unchanged.
+func TestExecEntityPropertyRejected(t *testing.T) {
+	const match = "MATCH (n:AS {asn: 2497})-[r:POPULATION]->() "
+	for _, src := range []string{
+		match + "SET n.x = n",
+		match + "SET n.x = [n]",
+		match + "SET n.x = {k: r}",
+		match + "SET r.x = n",
+		match + "CREATE (:T {x: n})",
+		match + "CREATE (:T {x: [n]})",
+		match + "CREATE (:T {x: {k: r}})",
+		match + "CREATE (n)-[:R {x: [1, {k: r}]}]->(n)",
+		match + "MERGE (:T {x: n})",
+		match + "MERGE (:T {x: [n]})",
+		match + "MERGE (:T {x: {k: r}})",
+	} {
+		t.Run(src[len(match):], func(t *testing.T) {
+			g := fixture(t)
+			nodes, rels := g.NodeCount(), g.RelationshipCount()
+			_, err := Execute(g, src, nil)
+			if !errors.Is(err, graph.ErrEntityProperty) {
+				t.Fatalf("err = %v, want ErrEntityProperty", err)
+			}
+			if g.NodeCount() != nodes || g.RelationshipCount() != rels {
+				t.Errorf("failed write changed the graph: nodes %d -> %d, rels %d -> %d",
+					nodes, g.NodeCount(), rels, g.RelationshipCount())
+			}
+			res := run(t, g, "MATCH (n:AS)-[r]->() RETURN DISTINCT n.x, r.x", nil)
+			if len(res.Rows) != 1 || res.Rows[0][0] != nil || res.Rows[0][1] != nil {
+				t.Errorf("rejected value was stored: %v", res.Rows)
+			}
+		})
+	}
+	// Parameters still carry entities: only storage refuses them.
+	g := fixture(t)
+	ids, _ := g.NodesByLabelProp("AS", "asn", 2497)
+	res := run(t, g, "MATCH (a) WHERE a = $n RETURN a.name", map[string]any{"n": g.Node(ids[0])})
+	if len(res.Rows) != 1 || res.Rows[0][0] != "IIJ" {
+		t.Errorf("entity parameter: rows = %v", res.Rows)
+	}
+}
+
 // TestExecDeleteListAppliesEntityRules pins DELETE over a list: each
 // element follows the single-entity rules — a node with relationships
 // needs DETACH, an entity already gone is skipped, and a non-entity

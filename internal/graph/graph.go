@@ -15,6 +15,12 @@ var (
 	ErrNodeNotFound = errors.New("graph: node not found")
 	ErrRelNotFound  = errors.New("graph: relationship not found")
 	ErrHasRels      = errors.New("graph: node still has relationships")
+	// ErrEntityProperty rejects a property value that contains a node,
+	// relationship or path at any depth. Stored, an entity would alias
+	// live graph state (SET n.x = n gives n a property map that contains
+	// itself, which recursive readers walk forever), and neither the WAL
+	// nor the snapshot formats can encode it.
+	ErrEntityProperty = errors.New("graph: property values cannot contain nodes, relationships or paths")
 )
 
 // Node is a graph vertex. Labels are kept sorted; Props maps property
@@ -151,19 +157,19 @@ type Graph struct {
 	// Lock-free read path (see view.go): the last published immutable
 	// epoch, the dirty sets accumulated since it was built, and the
 	// snapshot observability counters.
-	published         atomic.Pointer[readState]
-	dirtyNodes        map[int64]struct{} // created/deleted/relabeled/reproped nodes
-	dirtyRels         map[int64]struct{} // created/deleted/reproped rels
-	dirtyAdj          map[int64]struct{} // nodes whose adjacency (or incident rel copies) changed
-	relTypeCount map[string]int // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
+	published    atomic.Pointer[readState]
+	dirtyNodes   map[int64]struct{} // created/deleted/relabeled/reproped nodes
+	dirtyRels    map[int64]struct{} // created/deleted/reproped rels
+	dirtyAdj     map[int64]struct{} // nodes whose adjacency (or incident rel copies) changed
+	relTypeCount map[string]int     // live rels per type; keeps RelationshipTypes and epoch builds O(#types)
 	// labelsDirty and indexDirty are deliberately coarse: one flag per
 	// table, so the next publish rebuilds that whole table (O(labeled
 	// nodes) / O(index size)) rather than tracking per-bucket churn.
 	// See the CONCURRENCY.md cost model; batch indexed writes on huge
 	// graphs.
-	labelsDirty   bool
-	relTypesDirty bool
-	indexDirty    bool
+	labelsDirty       bool
+	relTypesDirty     bool
+	indexDirty        bool
 	viewPins          atomic.Int64
 	snapshotPublishes atomic.Int64
 
@@ -225,7 +231,8 @@ func New() *Graph {
 
 // CreateNode adds a node with the given labels and properties and returns
 // it. Property values must already be normalized (see NormalizeValue) or
-// of directly supported types; invalid values return an error.
+// of directly supported types; invalid values, and values that contain
+// entities (ErrEntityProperty), return an error.
 func (g *Graph) CreateNode(labels []string, props map[string]any) (*Node, error) {
 	norm, err := normalizeProps(props)
 	if err != nil {
@@ -306,7 +313,7 @@ func (g *Graph) MustCreateRelationship(startID, endID int64, relType string, pro
 func normalizeProps(props map[string]any) (map[string]Value, error) {
 	norm := make(map[string]Value, len(props))
 	for k, v := range props {
-		nv, err := NormalizeValue(v)
+		nv, err := normalizeProp(v)
 		if err != nil {
 			return nil, fmt.Errorf("property %q: %w", k, err)
 		}
@@ -315,6 +322,43 @@ func normalizeProps(props map[string]any) (map[string]Value, error) {
 		}
 	}
 	return norm, nil
+}
+
+// normalizeProp is NormalizeValue for a value about to be stored as a
+// property: it also rejects entities anywhere inside the value.
+// Query parameters and results keep accepting entities; only storage
+// refuses them.
+func normalizeProp(v any) (Value, error) {
+	nv, err := NormalizeValue(v)
+	if err != nil {
+		return nil, err
+	}
+	if containsEntity(nv) {
+		return nil, ErrEntityProperty
+	}
+	return nv, nil
+}
+
+// containsEntity reports whether a normalized value is, or holds in a
+// list or map at any depth, a node, relationship or path.
+func containsEntity(v Value) bool {
+	switch x := v.(type) {
+	case *Node, *Relationship, Path:
+		return true
+	case []Value:
+		for _, e := range x {
+			if containsEntity(e) {
+				return true
+			}
+		}
+	case map[string]Value:
+		for _, e := range x {
+			if containsEntity(e) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Node returns the node with the given ID, or nil when absent.
@@ -572,9 +616,9 @@ func (g *Graph) Degree(nodeID int64, dir Direction, types ...string) int {
 // SetNodeProp sets (or, with a nil value, removes) a node property and
 // keeps any property index on it consistent.
 func (g *Graph) SetNodeProp(nodeID int64, key string, value any) error {
-	nv, err := NormalizeValue(value)
+	nv, err := normalizeProp(value)
 	if err != nil {
-		return err
+		return fmt.Errorf("property %q: %w", key, err)
 	}
 	g.ensureMutable()
 	g.mu.Lock()
@@ -624,9 +668,9 @@ func propsWith(props map[string]Value, key string, nv Value) map[string]Value {
 
 // SetRelProp sets (or removes, with nil) a relationship property.
 func (g *Graph) SetRelProp(relID int64, key string, value any) error {
-	nv, err := NormalizeValue(value)
+	nv, err := normalizeProp(value)
 	if err != nil {
-		return err
+		return fmt.Errorf("property %q: %w", key, err)
 	}
 	g.ensureMutable()
 	g.mu.Lock()

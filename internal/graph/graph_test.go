@@ -76,6 +76,35 @@ func TestCreateRelationshipMissingEndpoint(t *testing.T) {
 	}
 }
 
+// TestEntityPropertyRejected: every property writer refuses values
+// that are, or contain at any depth, a node, relationship or path.
+func TestEntityPropertyRejected(t *testing.T) {
+	g := New()
+	a := g.MustCreateNode([]string{"AS"}, map[string]any{"asn": 1})
+	b := g.MustCreateNode([]string{"AS"}, nil)
+	r := g.MustCreateRelationship(a.ID, b.ID, "PEERS_WITH", nil)
+	path := Path{Nodes: []*Node{a, b}, Rels: []*Relationship{r}}
+	for _, v := range []any{a, r, path, []any{1, a}, map[string]any{"k": r}, []Value{map[string]Value{"deep": []Value{path}}}} {
+		writes := map[string]func() error{
+			"CreateNode": func() error { _, err := g.CreateNode([]string{"X"}, map[string]any{"p": v}); return err },
+			"CreateRelationship": func() error {
+				_, err := g.CreateRelationship(a.ID, b.ID, "X", map[string]any{"p": v})
+				return err
+			},
+			"SetNodeProp": func() error { return g.SetNodeProp(a.ID, "p", v) },
+			"SetRelProp":  func() error { return g.SetRelProp(r.ID, "p", v) },
+		}
+		for name, write := range writes {
+			if err := write(); !errors.Is(err, ErrEntityProperty) {
+				t.Errorf("%s(%T): err = %v, want ErrEntityProperty", name, v, err)
+			}
+		}
+	}
+	if g.NodeCount() != 2 || g.RelationshipCount() != 1 || a.Props["p"] != nil || r.Props["p"] != nil {
+		t.Errorf("rejected writes changed the graph: nodes=%d rels=%d", g.NodeCount(), g.RelationshipCount())
+	}
+}
+
 func TestIncidentTypeFilter(t *testing.T) {
 	g := New()
 	a := g.MustCreateNode([]string{"AS"}, nil)

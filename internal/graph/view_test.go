@@ -213,11 +213,11 @@ func TestViewIncidentOrderAndDedup(t *testing.T) {
 	g := New()
 	n := g.MustCreateNode([]string{"N"}, nil)
 	m := g.MustCreateNode([]string{"N"}, nil)
-	g.MustCreateRelationship(n.ID, m.ID, "A", nil)    // 1: out
-	g.MustCreateRelationship(m.ID, n.ID, "B", nil)    // 2: in
-	g.MustCreateRelationship(n.ID, n.ID, "A", nil)    // 3: self-loop
-	g.MustCreateRelationship(n.ID, m.ID, "B", nil)    // 4: out
-	g.MustCreateRelationship(m.ID, n.ID, "A", nil)    // 5: in
+	g.MustCreateRelationship(n.ID, m.ID, "A", nil) // 1: out
+	g.MustCreateRelationship(m.ID, n.ID, "B", nil) // 2: in
+	g.MustCreateRelationship(n.ID, n.ID, "A", nil) // 3: self-loop
+	g.MustCreateRelationship(n.ID, m.ID, "B", nil) // 4: out
+	g.MustCreateRelationship(m.ID, n.ID, "A", nil) // 5: in
 	v := g.View()
 	for _, tc := range []struct {
 		dir   Direction

@@ -10,7 +10,7 @@ import (
 // distinct from the answer-quality metrics above, these count events in
 // the serving path (plan-cache hits and misses, questions asked, Cypher
 // executions) so deployments can watch cache effectiveness live via the
-// server's /api/metrics endpoint.
+// server's /v1/metrics endpoint.
 
 // Counter is a monotonically readable int64 event counter. The zero
 // value is ready to use; all methods are safe for concurrent use.

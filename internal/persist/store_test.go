@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -337,4 +338,34 @@ func TestStoreCounters(t *testing.T) {
 	if graph.LastLoadNanos() <= 0 {
 		t.Fatal("graph.load_ns not recorded")
 	}
+}
+
+// TestStoreRejectsEntityPropertyBeforeJournal: a property value that
+// holds a node never reaches the WAL. The graph refuses it with
+// ErrEntityProperty, the store keeps no sticky error, and later writes
+// still journal.
+func TestStoreRejectsEntityPropertyBeforeJournal(t *testing.T) {
+	dir := initStoreDir(t)
+	s, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := s.Graph()
+	ids, _ := g.NodesByLabelProp("AS", "asn", int64(64500))
+	n := g.Node(ids[0])
+	if err := g.SetNodeProp(n.ID, "self", n); !errors.Is(err, graph.ErrEntityProperty) {
+		t.Fatalf("SetNodeProp(node) err = %v, want ErrEntityProperty", err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("store sticky error after a rejected write: %v", err)
+	}
+	if g.Node(n.ID).Props["self"] != nil {
+		t.Fatal("rejected value stored in memory")
+	}
+	check := scriptedWrites(t, g, 2)
+	if err := s.Err(); err != nil {
+		t.Fatalf("store error after valid writes: %v", err)
+	}
+	check(t, g, 2)
 }

@@ -9,11 +9,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"chatiyp/internal/api"
 	"chatiyp/internal/core"
 	"chatiyp/internal/iyp"
 	"chatiyp/internal/llm"
@@ -61,7 +63,7 @@ func TestNewRequiresPipeline(t *testing.T) {
 func TestHealth(t *testing.T) {
 	s, _ := newTestServer(t)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("status = %d", rec.Code)
 	}
@@ -70,11 +72,11 @@ func TestHealth(t *testing.T) {
 func TestAskEndToEnd(t *testing.T) {
 	s, w := newTestServer(t)
 	q := fmt.Sprintf("What is the name of AS%d?", w.ASes[0].ASN)
-	rec := postJSON(t, s.Handler(), "/api/ask", AskRequest{Question: q})
+	rec := postJSON(t, s.Handler(), "/v1/ask", api.AskRequest{Question: q})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
 	}
-	var resp AskResponse
+	var resp api.AskResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -92,33 +94,39 @@ func TestAskEndToEnd(t *testing.T) {
 func TestAskValidation(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	if rec := postJSON(t, h, "/api/ask", AskRequest{Question: ""}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/ask", api.AskRequest{Question: ""}); rec.Code != http.StatusBadRequest {
 		t.Errorf("empty question status = %d", rec.Code)
+	} else if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeBadRequest {
+		t.Errorf("empty question code = %q", d.Code)
 	}
-	if rec := postJSON(t, h, "/api/ask", AskRequest{Question: strings.Repeat("x", 5000)}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/ask", api.AskRequest{Question: strings.Repeat("x", 5000)}); rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized question status = %d", rec.Code)
+	} else if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeBadRequest {
+		t.Errorf("oversized question code = %q", d.Code)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/api/ask", strings.NewReader("{not json"))
+	req := httptest.NewRequest(http.MethodPost, "/v1/ask", strings.NewReader("{not json"))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad json status = %d", rec.Code)
+	} else if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeBadRequest {
+		t.Errorf("bad json code = %q", d.Code)
 	}
 	// GET on the POST-only route falls through to the catch-all and 404s.
 	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/ask", nil))
+	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/v1/ask", nil))
 	if rec2.Code != http.StatusNotFound && rec2.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /api/ask status = %d", rec2.Code)
+		t.Errorf("GET /v1/ask status = %d", rec2.Code)
 	}
 }
 
 func TestCypherEndpoint(t *testing.T) {
 	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
+	rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
 	}
-	var resp CypherResponse
+	var resp api.CypherResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +137,7 @@ func TestCypherEndpoint(t *testing.T) {
 
 func TestCypherEndpointParams(t *testing.T) {
 	s, w := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{
 		Query:  "MATCH (a:AS {asn: $asn}) RETURN a.name",
 		Params: map[string]any{"asn": w.ASes[0].ASN},
 	})
@@ -144,15 +152,25 @@ func TestCypherEndpointParams(t *testing.T) {
 func TestCypherEndpointErrors(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	if rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "NOT CYPHER"}); rec.Code != http.StatusBadRequest {
-		t.Errorf("syntax error status = %d", rec.Code)
+	cases := []struct {
+		name, query string
+		status      int
+		code        string
+	}{
+		{"syntax error", "NOT CYPHER", http.StatusBadRequest, api.CodeParseError},
+		{"empty query", "", http.StatusBadRequest, api.CodeBadRequest},
+		// Valid syntax, runtime failure (unknown parameter).
+		{"runtime error", "MATCH (a:AS {asn: $nope}) RETURN a", http.StatusUnprocessableEntity, api.CodeExecError},
 	}
-	if rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: ""}); rec.Code != http.StatusBadRequest {
-		t.Errorf("empty query status = %d", rec.Code)
-	}
-	// Valid syntax, runtime failure (unknown parameter).
-	if rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "MATCH (a:AS {asn: $nope}) RETURN a"}); rec.Code != http.StatusUnprocessableEntity {
-		t.Errorf("runtime error status = %d", rec.Code)
+	for _, tc := range cases {
+		rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: tc.query})
+		if rec.Code != tc.status {
+			t.Errorf("%s status = %d, want %d", tc.name, rec.Code, tc.status)
+			continue
+		}
+		if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != tc.code {
+			t.Errorf("%s code = %q, want %q", tc.name, d.Code, tc.code)
+		}
 	}
 }
 
@@ -160,16 +178,21 @@ func TestSchemaAndStats(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/schema", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/schema", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "POPULATION") {
 		t.Errorf("schema: %d %s", rec.Code, rec.Body.String()[:80])
 	}
 	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	if rec2.Code != http.StatusOK || !strings.Contains(rec2.Body.String(), "Nodes") {
 		t.Errorf("stats: %d", rec2.Code)
 	}
 }
+
+var (
+	innerHTMLAssign = regexp.MustCompile(`\.innerHTML\s*\+?=\s*([^;]*)`)
+	jsStringLiteral = regexp.MustCompile(`^\s*'[^'+]*'\s*$`)
+)
 
 func TestIndexPage(t *testing.T) {
 	s, _ := newTestServer(t)
@@ -177,6 +200,20 @@ func TestIndexPage(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ChatIYP") {
 		t.Errorf("index: %d", rec.Code)
+	}
+	// Answers, Cypher and error messages carry graph strings any write
+	// can set: an innerHTML assignment may only take a string literal,
+	// never a value built from the response.
+	page := rec.Body.String()
+	for _, m := range innerHTMLAssign.FindAllStringSubmatch(page, -1) {
+		if !jsStringLiteral.MatchString(m[1]) {
+			t.Errorf("UI assigns innerHTML from a non-literal: %s", m[0])
+		}
+	}
+	for _, field := range []string{"d.answer", "d.cypher", "d.cypher_error", "d.error.message"} {
+		if !strings.Contains(page, field) {
+			t.Errorf("UI no longer renders %s", field)
+		}
 	}
 	rec2 := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/nope", nil))
@@ -204,11 +241,11 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 
 func TestVectorFallbackVisibleInResponse(t *testing.T) {
 	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/ask", AskRequest{Question: "Tell me something interesting about large exchange operators"})
+	rec := postJSON(t, s.Handler(), "/v1/ask", api.AskRequest{Question: "Tell me something interesting about large exchange operators"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var resp AskResponse
+	var resp api.AskResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +256,7 @@ func TestVectorFallbackVisibleInResponse(t *testing.T) {
 
 func TestExplainEndpoint(t *testing.T) {
 	s, w := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/explain", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/explain", api.CypherRequest{
 		Query: fmt.Sprintf("MATCH (a:AS {asn: %d})-[:ORIGINATE]->(p:Prefix) RETURN p.prefix", w.ASes[0].ASN),
 	})
 	if rec.Code != http.StatusOK {
@@ -228,8 +265,10 @@ func TestExplainEndpoint(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "property index (AS, asn)") {
 		t.Errorf("plan missing index usage: %s", rec.Body.String())
 	}
-	if rec := postJSON(t, s.Handler(), "/api/explain", CypherRequest{Query: "BROKEN"}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, s.Handler(), "/v1/explain", api.CypherRequest{Query: "BROKEN"}); rec.Code != http.StatusBadRequest {
 		t.Errorf("broken query status = %d", rec.Code)
+	} else if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeParseError {
+		t.Errorf("broken query code = %q", d.Code)
 	}
 }
 
@@ -239,12 +278,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Drive some Cypher traffic so the plan cache has counters to show.
 	query := fmt.Sprintf("MATCH (a:AS {asn: %d}) RETURN a.asn", w.ASes[0].ASN)
 	for i := 0; i < 3; i++ {
-		rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: query})
+		rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("cypher status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	req := httptest.NewRequest(http.MethodGet, "/api/metrics", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -282,11 +321,11 @@ func TestCypherRowCapTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn"})
+	rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{Query: "MATCH (a:AS) RETURN a.asn"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp CypherResponse
+	var resp api.CypherResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +333,7 @@ func TestCypherRowCapTruncates(t *testing.T) {
 		t.Fatalf("rows=%d truncated=%v, want 5/true", len(resp.Rows), resp.Truncated)
 	}
 	// Within the cap: no truncation flag.
-	rec = postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 3"})
+	rec = postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 3"})
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +345,11 @@ func TestCypherRowCapTruncates(t *testing.T) {
 func TestMetricsExposeStreamingCounters(t *testing.T) {
 	s, _ := newTestServer(t)
 	h := s.Handler()
-	rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 2"})
+	rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 2"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cypher status %d: %s", rec.Code, rec.Body)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/api/metrics", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	mrec := httptest.NewRecorder()
 	h.ServeHTTP(mrec, req)
 	var resp struct {
@@ -328,12 +367,12 @@ func TestMetricsExposeStreamingCounters(t *testing.T) {
 }
 
 // TestMetricsExposeParallelCounters checks the morsel-executor gauges
-// are mirrored at /api/metrics. Their values are process-global and
+// are mirrored at /v1/metrics. Their values are process-global and
 // depend on GOMAXPROCS (a 1-core run never engages the parallel path),
 // so this asserts presence, not magnitude.
 func TestMetricsExposeParallelCounters(t *testing.T) {
 	s, _ := newTestServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/api/metrics", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	mrec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(mrec, req)
 	var resp struct {
@@ -377,7 +416,7 @@ func newCustomServer(t testing.TB, tune func(*Config)) *Server {
 func TestOversizedBodyReturns413(t *testing.T) {
 	s := newCustomServer(t, func(c *Config) { c.MaxBodyBytes = 256 })
 	h := s.Handler()
-	for _, path := range []string{"/api/ask", "/api/cypher", "/api/explain"} {
+	for _, path := range []string{"/v1/ask", "/v1/cypher", "/v1/explain"} {
 		body := fmt.Sprintf(`{"question": %q, "query": %q}`, strings.Repeat("x", 1024), strings.Repeat("y", 1024))
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -385,11 +424,8 @@ func TestOversizedBodyReturns413(t *testing.T) {
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status = %d, want 413", path, rec.Code)
 		}
-		var resp map[string]string
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Errorf("%s: non-JSON 413 body: %s", path, rec.Body.String())
-		} else if resp["error"] == "" {
-			t.Errorf("%s: 413 body missing error field: %v", path, resp)
+		if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeBodyTooLarge || d.Message == "" {
+			t.Errorf("%s: 413 envelope = %+v", path, d)
 		}
 	}
 }
@@ -401,7 +437,7 @@ func TestRequestIDAndStatusLogging(t *testing.T) {
 
 	// A fresh ID is minted and echoed.
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if id := rec.Header().Get("X-Request-ID"); len(id) != 12 {
 		t.Errorf("X-Request-ID = %q, want 12 hex chars", id)
 	}
@@ -439,22 +475,15 @@ const slowCrossJoin = "MATCH (a:AS) MATCH (b:AS) MATCH (c:AS) MATCH (d:AS) " +
 func TestCypherTimeoutShape(t *testing.T) {
 	s := newCustomServer(t, func(c *Config) { c.CypherTimeout = 30 * time.Millisecond })
 	start := time.Now()
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: slowCrossJoin})
+	rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{Query: slowCrossJoin})
 	if el := time.Since(start); el > 10*time.Second {
 		t.Fatalf("timed-out query held the worker for %v", el)
 	}
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d body = %s, want 504", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Error   string `json:"error"`
-		Timeout bool   `json:"timeout"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Timeout || resp.Error == "" {
-		t.Fatalf("timeout shape = %+v", resp)
+	if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeTimeout || d.Message == "" {
+		t.Fatalf("timeout envelope = %+v", d)
 	}
 	// The abort is visible in the mirrored cancellation counters.
 	snap := s.cfg.Pipeline.Metrics().Snapshot()
@@ -468,18 +497,12 @@ func TestCypherTimeoutShape(t *testing.T) {
 
 func TestAskTimeoutShape(t *testing.T) {
 	s := newCustomServer(t, func(c *Config) { c.AskTimeout = time.Nanosecond })
-	rec := postJSON(t, s.Handler(), "/api/ask", AskRequest{Question: "What is the name of AS1?"})
+	rec := postJSON(t, s.Handler(), "/v1/ask", api.AskRequest{Question: "What is the name of AS1?"})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d body = %s, want 504", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Timeout bool `json:"timeout"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Timeout {
-		t.Fatalf("body = %s, want timeout shape", rec.Body.String())
+	if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeTimeout {
+		t.Fatalf("body = %s, want timeout envelope", rec.Body.String())
 	}
 }
 
@@ -495,20 +518,23 @@ func TestOverloadReturns429WithRetryAfter(t *testing.T) {
 	slowDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
 		var buf bytes.Buffer
-		_ = json.NewEncoder(&buf).Encode(CypherRequest{Query: slowCrossJoin})
-		req := httptest.NewRequest(http.MethodPost, "/api/cypher", &buf)
+		_ = json.NewEncoder(&buf).Encode(api.CypherRequest{Query: slowCrossJoin})
+		req := httptest.NewRequest(http.MethodPost, "/v1/cypher", &buf)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		slowDone <- rec
 	}()
 	waitFor(t, func() bool { return reg.Gauge("server.inflight").Value() == 1 })
 
-	rec := postJSON(t, h, "/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
+	rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d body = %s, want 429", rec.Code, rec.Body.String())
 	}
 	if ra := rec.Header().Get("Retry-After"); ra != "3" {
 		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	}
+	if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeOverloaded || d.RetryAfter != 3 {
+		t.Errorf("429 envelope = %+v", d)
 	}
 	// The slot-holder ends on its deadline and releases the slot.
 	if slow := <-slowDone; slow.Code != http.StatusGatewayTimeout {
@@ -528,8 +554,8 @@ func TestDrainRejectsWith503(t *testing.T) {
 		path string
 		v    any
 	}{
-		{"/api/ask", AskRequest{Question: "What is the name of AS1?"}},
-		{"/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"}},
+		{"/v1/ask", api.AskRequest{Question: "What is the name of AS1?"}},
+		{"/v1/cypher", api.CypherRequest{Query: "MATCH (c:Country) RETURN count(c)"}},
 	} {
 		rec := postJSON(t, s.Handler(), body.path, body.v)
 		if rec.Code != http.StatusServiceUnavailable {
@@ -538,18 +564,21 @@ func TestDrainRejectsWith503(t *testing.T) {
 		if rec.Header().Get("Retry-After") == "" {
 			t.Errorf("%s during drain: missing Retry-After", body.path)
 		}
+		if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeUnavailable {
+			t.Errorf("%s during drain: code = %q", body.path, d.Code)
+		}
 	}
 	// Cheap endpoints stay up through the drain (health checks must
 	// keep passing until the process exits).
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/health", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("health during drain: status = %d", rec.Code)
 	}
 }
 
 // TestConcurrentCypherSaturation drives the full handler stack past
-// its concurrency limit from many goroutines (via /api/cypher, the
+// its concurrency limit from many goroutines (via /v1/cypher, the
 // cheaper of the two scheduled endpoints); under -race this exercises
 // the scheduler, pipeline, plan cache and cancellation paths together.
 func TestConcurrentCypherSaturation(t *testing.T) {
@@ -565,8 +594,8 @@ func TestConcurrentCypherSaturation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var buf bytes.Buffer
-			_ = json.NewEncoder(&buf).Encode(CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 5"})
-			req := httptest.NewRequest(http.MethodPost, "/api/cypher", &buf)
+			_ = json.NewEncoder(&buf).Encode(api.CypherRequest{Query: "MATCH (a:AS) RETURN a.asn LIMIT 5"})
+			req := httptest.NewRequest(http.MethodPost, "/v1/cypher", &buf)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			codes[i] = rec.Code
@@ -596,7 +625,7 @@ func TestConcurrentCypherSaturation(t *testing.T) {
 func TestForgedRequestIDReplaced(t *testing.T) {
 	var buf bytes.Buffer
 	s := newCustomServer(t, func(c *Config) { c.Logger = log.New(&buf, "", 0) })
-	req := httptest.NewRequest(http.MethodGet, "/api/health", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/health", nil)
 	req.Header.Set("X-Request-ID", "x 200 0B 1ms id=victim")
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
@@ -694,5 +723,31 @@ func TestSemCacheWarmAskOverHTTP(t *testing.T) {
 	}
 	if resp.Counters["semcache.size"] < 1 {
 		t.Errorf("semcache.size = %d, want >= 1", resp.Counters["semcache.size"])
+	}
+}
+
+// TestEntityPropertyWriteIs422: a write that would store a node inside
+// a property answers 422 exec_error, and the server keeps serving reads
+// of that property (stored, the self-referencing value overflowed the
+// stack of the next reader and ended the process).
+func TestEntityPropertyWriteIs422(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	for _, q := range []string{
+		"MATCH (n:AS) WITH n LIMIT 1 SET n.x = n",
+		"MATCH (n:AS) WITH n LIMIT 1 CREATE (:T {x: [n]})",
+		"MATCH (n:AS)-[r]->() WITH n, r LIMIT 1 MERGE (:T {x: {k: r}})",
+	} {
+		rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: q})
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d body = %s, want 422", q, rec.Code, rec.Body.String())
+		}
+		if d := decodeEnvelope(t, rec.Body.Bytes()); d.Code != api.CodeExecError {
+			t.Errorf("%s: code = %q", q, d.Code)
+		}
+	}
+	rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: "MATCH (n:AS) RETURN DISTINCT n.x"})
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"rows":[[null]]`) {
+		t.Errorf("read after rejected writes: %d %s", rec.Code, rec.Body.String())
 	}
 }

@@ -17,11 +17,9 @@ import (
 	"chatiyp/internal/resilience"
 )
 
-// This file implements the versioned /v1/ handlers: content
-// negotiation (JSON vs streaming NDJSON), cursor pagination, the batch
-// endpoint, and the uniform error envelope. The legacy /api/* handlers
-// in server.go delegate to the same decode/admit/execute helpers and
-// differ only in response rendering.
+// This file implements the ask, batch, cypher and explain handlers:
+// content negotiation (JSON vs streaming NDJSON), cursor pagination,
+// and the mapping of execution failures onto the error envelope.
 
 // streamFlushInterval is how many NDJSON row records may buffer
 // between explicit flushes. The header and first row always flush
@@ -68,7 +66,7 @@ func acceptsJSON(acc map[string]bool) bool {
 	return acc[api.MediaJSON] || acc["application/*"] || acc["*/*"] || acc["text/json"]
 }
 
-// negotiate picks the response encoding for a v1 request from its
+// negotiate picks the response encoding for a request from its
 // Accept header: NDJSON when application/x-ndjson is listed with a
 // non-zero q (an explicit opt-in always wins), JSON for json,
 // application/*, */* or an absent header, and failure — 406 with the
@@ -85,41 +83,40 @@ func (s *Server) negotiate(w http.ResponseWriter, r *http.Request) (string, bool
 	case acceptsJSON(acc):
 		return api.MediaJSON, true
 	}
-	s.httpError(w, r, true, http.StatusNotAcceptable, api.CodeNotAcceptable,
+	s.httpError(w, r, http.StatusNotAcceptable, api.CodeNotAcceptable,
 		fmt.Sprintf("no acceptable representation: this endpoint produces %s and %s", api.MediaJSON, api.MediaNDJSON), 0)
 	return "", false
 }
 
-// negotiateJSON guards the JSON-only v1 endpoints (/v1/ask/batch,
+// negotiateJSON guards the JSON-only endpoints (/v1/ask/batch,
 // /v1/explain): their sole representation is application/json, so an
 // Accept header that refuses it — e.g. one listing only
 // application/x-ndjson — answers 406 instead of a body the client said
-// it would not take, keeping the 406 contract consistent across the v1
+// it would not take, keeping the 406 contract consistent across the
 // surface.
 func (s *Server) negotiateJSON(w http.ResponseWriter, r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	if strings.TrimSpace(accept) == "" || acceptsJSON(acceptable(accept)) {
 		return true
 	}
-	s.httpError(w, r, true, http.StatusNotAcceptable, api.CodeNotAcceptable,
+	s.httpError(w, r, http.StatusNotAcceptable, api.CodeNotAcceptable,
 		fmt.Sprintf("no acceptable representation: this endpoint produces %s only", api.MediaJSON), 0)
 	return false
 }
 
-// writeExecErrorV1 maps an execution failure onto the envelope:
+// writeExecError maps an execution failure onto the envelope:
 // deadline expiry is 504/timeout, cancellation 499/canceled, Cypher
 // syntax errors 400/parse_error, fail-fast model-layer rejections
 // (breaker open, bulkhead full) 503/unavailable + Retry-After, and
 // anything else the caller's fallback code and status (exec_error 422
 // for Cypher, internal 500 for ask).
-func (s *Server) writeExecErrorV1(w http.ResponseWriter, r *http.Request, err error, timeout time.Duration, fallbackCode string, fallbackStatus int) {
+func (s *Server) writeExecError(w http.ResponseWriter, r *http.Request, err error, timeout time.Duration, fallbackCode string, fallbackStatus int) {
 	status, code, msg, retry := s.classifyExecError(err, timeout, fallbackCode, fallbackStatus)
-	s.httpError(w, r, true, status, code, msg, retry)
+	s.httpError(w, r, status, code, msg, retry)
 }
 
 // classifyExecError maps an execution failure to (status, code,
-// message, retry-after seconds), bumping the same counters the legacy
-// path does.
+// message, retry-after seconds) and bumps the matching server counter.
 func (s *Server) classifyExecError(err error, timeout time.Duration, fallbackCode string, fallbackStatus int) (int, string, string, int) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -157,7 +154,7 @@ func wireStats(s cypher.WriteStats) api.WriteStats {
 	}
 }
 
-// wireAnswer converts a pipeline answer to the v1 wire shape.
+// wireAnswer converts a pipeline answer to the wire shape.
 func wireAnswer(ans *core.Answer) *api.AskResponse {
 	resp := &api.AskResponse{
 		Question:       ans.Question,
@@ -184,16 +181,38 @@ func wireAnswer(ans *core.Answer) *api.AskResponse {
 	return resp
 }
 
-// handleAskV1 is POST /v1/ask: the full RAG pipeline, answering JSON
+// handleAsk is POST /v1/ask: the full RAG pipeline, answering JSON
 // by default and NDJSON (header, result rows, trailer carrying the
 // answer) when negotiated.
-func (s *Server) handleAskV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	mode, ok := s.negotiate(w, r)
 	if !ok {
 		return
 	}
-	ans, ok := s.runAsk(w, r, true)
+	var req api.AskRequest
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	q := strings.TrimSpace(req.Question)
+	if q == "" {
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest, "question is required", 0)
+		return
+	}
+	if len(q) > s.cfg.MaxQuestionLen {
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
+			fmt.Sprintf("question exceeds %d bytes", s.cfg.MaxQuestionLen), 0)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AskTimeout)
+	defer cancel()
+	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout)
 	if !ok {
+		return
+	}
+	defer release()
+	ans, err := s.cfg.Pipeline.Ask(ctx, q)
+	if err != nil {
+		s.writeExecError(w, r, err, s.cfg.AskTimeout, api.CodeInternal, http.StatusInternalServerError)
 		return
 	}
 	resp := wireAnswer(ans)
@@ -216,37 +235,37 @@ func (s *Server) handleAskV1(w http.ResponseWriter, r *http.Request) {
 	st.trailer(api.StreamRecord{Ask: resp})
 }
 
-// handleAskBatchV1 is POST /v1/ask/batch: core.Pipeline.AskBatch over
+// handleAskBatch is POST /v1/ask/batch: core.Pipeline.AskBatch over
 // the wire. The batch occupies one scheduler slot and runs its
 // questions on a small internal worker pool, answering one result per
 // question in input order (per-question failures carry their own
 // ErrorDetail; the batch itself still answers 200).
-func (s *Server) handleAskBatchV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAskBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.negotiateJSON(w, r) {
 		return
 	}
 	var req api.AskBatchRequest
-	if !s.decodeJSON(w, r, &req, true) {
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Questions) == 0 {
-		s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest, "questions is required", 0)
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest, "questions is required", 0)
 		return
 	}
 	if len(req.Questions) > s.cfg.MaxBatch {
-		s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			fmt.Sprintf("batch exceeds %d questions", s.cfg.MaxBatch), 0)
 		return
 	}
 	for i, q := range req.Questions {
 		q = strings.TrimSpace(q)
 		if q == "" {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 				fmt.Sprintf("questions[%d] is empty", i), 0)
 			return
 		}
 		if len(q) > s.cfg.MaxQuestionLen {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 				fmt.Sprintf("questions[%d] exceeds %d bytes", i, s.cfg.MaxQuestionLen), 0)
 			return
 		}
@@ -264,7 +283,7 @@ func (s *Server) handleAskBatchV1(w http.ResponseWriter, r *http.Request) {
 	// would let clients buy unbounded slot time by batching.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AskTimeout)
 	defer cancel()
-	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout, true)
+	release, ok := s.admit(ctx, w, r, s.cfg.AskTimeout)
 	if !ok {
 		return
 	}
@@ -285,37 +304,37 @@ func (s *Server) handleAskBatchV1(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleCypherV1 is POST /v1/cypher: raw Cypher with three transports.
+// handleCypher is POST /v1/cypher: raw Cypher with three transports.
 // NDJSON streams rows off the pull-iterator pipeline as the scan
 // produces them; JSON without pagination materializes one body under
 // the server row cap (today's behavior); JSON with cursor/page_size
 // pages through the result with an opaque cursor validated against the
 // graph version.
-func (s *Server) handleCypherV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCypher(w http.ResponseWriter, r *http.Request) {
 	mode, ok := s.negotiate(w, r)
 	if !ok {
 		return
 	}
-	req, ok := s.decodeCypherRequest(w, r, true)
+	req, ok := s.decodeCypherRequest(w, r)
 	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CypherTimeout)
 	defer cancel()
-	release, ok := s.admit(ctx, w, r, s.cfg.CypherTimeout, true)
+	release, ok := s.admit(ctx, w, r, s.cfg.CypherTimeout)
 	if !ok {
 		return
 	}
 	defer release()
 	switch {
 	case mode == api.MediaNDJSON:
-		s.streamCypherV1(ctx, w, r, req)
+		s.streamCypher(ctx, w, r, req)
 	case req.Cursor != "" || req.PageSize > 0:
-		s.pageCypherV1(ctx, w, r, req)
+		s.pageCypher(ctx, w, r, req)
 	default:
 		res, err := s.cfg.Pipeline.QueryLimitedContext(ctx, req.Query, req.Params, s.serverRowLimit())
 		if err != nil {
-			s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+			s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 			return
 		}
 		writeJSON(w, http.StatusOK, api.CypherResponse{
@@ -324,16 +343,16 @@ func (s *Server) handleCypherV1(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamCypherV1 runs the NDJSON transport: plan-time failures still
+// streamCypher runs the NDJSON transport: plan-time failures still
 // answer a clean enveloped status, and from the first byte on, rows go
 // out as the operator pipeline yields them — first-byte latency does
 // not scale with result size. A failure after the 200 is committed
 // arrives as the trailer's error record.
-func (s *Server) streamCypherV1(ctx context.Context, w http.ResponseWriter, r *http.Request, req *CypherRequest) {
+func (s *Server) streamCypher(ctx context.Context, w http.ResponseWriter, r *http.Request, req *api.CypherRequest) {
 	started := time.Now()
 	st, err := s.cfg.Pipeline.QueryStreamContext(ctx, req.Query, req.Params, s.serverRowLimit())
 	if err != nil {
-		s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+		s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 		return
 	}
 	defer st.Close()
@@ -365,12 +384,12 @@ func (s *Server) streamCypherV1(ctx context.Context, w http.ResponseWriter, r *h
 	})
 }
 
-// pageCypherV1 serves one JSON page of a cursor-paginated result. The
+// pageCypher serves one JSON page of a cursor-paginated result. The
 // cursor binds (query, params) by hash and the graph by version:
 // replaying it against different text answers bad_cursor, and any
 // write since the first page answers stale_cursor (410) — offsets into
 // a shifted result set would silently skip or duplicate rows.
-func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *http.Request, req *CypherRequest) {
+func (s *Server) pageCypher(ctx context.Context, w http.ResponseWriter, r *http.Request, req *api.CypherRequest) {
 	// Pagination re-executes the query for every page, so write queries
 	// are rejected up front: each page request (and each "restart from
 	// the first page" after the write itself bumps the graph version)
@@ -379,11 +398,11 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	// per-page work.
 	parsed, err := cypher.Parse(req.Query)
 	if err != nil {
-		s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+		s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 		return
 	}
 	if !parsed.ReadOnly() {
-		s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadRequest,
+		s.httpError(w, r, http.StatusBadRequest, api.CodeBadRequest,
 			"cursor pagination supports read-only queries; run write queries without cursor/page_size", 0)
 		return
 	}
@@ -400,16 +419,16 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	if req.Cursor != "" {
 		cur, err := api.DecodeCursor(req.Cursor)
 		if err != nil {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadCursor, "malformed cursor", 0)
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadCursor, "malformed cursor", 0)
 			return
 		}
 		if cur.QueryHash != hash {
-			s.httpError(w, r, true, http.StatusBadRequest, api.CodeBadCursor,
+			s.httpError(w, r, http.StatusBadRequest, api.CodeBadCursor,
 				"cursor was issued for a different query", 0)
 			return
 		}
 		if cur.Version != version {
-			s.httpError(w, r, true, http.StatusGone, api.CodeStaleCursor,
+			s.httpError(w, r, http.StatusGone, api.CodeStaleCursor,
 				"the graph changed since this cursor was issued; restart from the first page", 0)
 			return
 		}
@@ -427,7 +446,7 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	// uncapped on every page request.
 	st, err := s.cfg.Pipeline.QueryStreamContext(ctx, req.Query, req.Params, s.serverRowLimit())
 	if err != nil {
-		s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+		s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 		return
 	}
 	defer st.Close()
@@ -436,7 +455,7 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	for pulled := 0; pulled < offset+pageSize+1; pulled++ {
 		row, ok, err := st.Next()
 		if err != nil {
-			s.writeExecErrorV1(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
+			s.writeExecError(w, r, err, s.cfg.CypherTimeout, api.CodeExecError, http.StatusUnprocessableEntity)
 			return
 		}
 		if !ok {
@@ -461,13 +480,13 @@ func (s *Server) pageCypherV1(ctx context.Context, w http.ResponseWriter, r *htt
 	})
 }
 
-// handleExplainV1 is POST /v1/explain: the access plan without
+// handleExplain is POST /v1/explain: the access plan without
 // execution.
-func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !s.negotiateJSON(w, r) {
 		return
 	}
-	req, ok := s.decodeCypherRequest(w, r, true)
+	req, ok := s.decodeCypherRequest(w, r)
 	if !ok {
 		return
 	}
@@ -478,7 +497,7 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &syntaxErr) {
 			code = api.CodeParseError
 		}
-		s.httpError(w, r, true, http.StatusBadRequest, code, err.Error(), 0)
+		s.httpError(w, r, http.StatusBadRequest, code, err.Error(), 0)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ExplainResponse{Plan: plan})

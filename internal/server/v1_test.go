@@ -47,7 +47,7 @@ func decodeEnvelope(t *testing.T, body []byte) api.ErrorDetail {
 func TestV1AskEndToEnd(t *testing.T) {
 	s, w := newTestServer(t)
 	q := fmt.Sprintf("What is the name of AS%d?", w.ASes[0].ASN)
-	rec := postJSON(t, s.Handler(), "/v1/ask", AskRequest{Question: q})
+	rec := postJSON(t, s.Handler(), "/v1/ask", api.AskRequest{Question: q})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body.String())
 	}
@@ -65,7 +65,7 @@ func TestV1AskEndToEnd(t *testing.T) {
 
 func TestV1CypherJSONMode(t *testing.T) {
 	s, w := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{
 		Query:  "MATCH (a:AS {asn: $asn}) RETURN a.name",
 		Params: map[string]any{"asn": w.ASes[0].ASN},
 	})
@@ -85,9 +85,8 @@ func TestV1CypherJSONMode(t *testing.T) {
 }
 
 // TestV1ErrorEnvelopeMatrix is the full error-shape contract: for each
-// failure class, the v1 route answers the documented status and stable
-// code in the uniform envelope, and the legacy shim answers its
-// pre-versioning shape and status — both asserted from one table.
+// failure class, the route answers the documented status and stable
+// code in the uniform envelope.
 func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 	drainSrv := newCustomServer(t, nil)
 	if err := drainSrv.Drain(context.Background()); err != nil {
@@ -104,12 +103,18 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 		c.RetryAfter = 2 * time.Second
 		c.CypherTimeout = 5 * time.Second
 	})
-	// Hold overloaded's only slot with a slow query for the duration of
-	// the test.
+	// Hold overloaded's only slot with a slow query until the cases have
+	// run; canceling its context then frees the slot at once instead of
+	// waiting out the 5s CypherTimeout.
+	holdCtx, releaseHold := context.WithCancel(context.Background())
+	defer releaseHold()
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		postJSON(t, overloaded.Handler(), "/api/cypher", CypherRequest{Query: slowCrossJoin})
+		req := httptest.NewRequest(http.MethodPost, "/v1/cypher",
+			strings.NewReader(`{"query": "`+slowCrossJoin+`"}`)).WithContext(holdCtx)
+		req.Header.Set("Content-Type", "application/json")
+		overloaded.Handler().ServeHTTP(httptest.NewRecorder(), req)
 	}()
 	waitFor(t, func() bool { return overloaded.reg.Gauge("server.inflight").Value() == 1 })
 
@@ -128,33 +133,25 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 		// request
 		method, path, body, contentType string
 		ctxCanceled                     bool
-		// v1 expectations
+		// expectations
 		wantStatus int
 		wantCode   string
 		retryAfter bool
-		// legacy expectations (path rewritten to /api/...); legacyStatus
-		// 0 means the case has no legacy counterpart.
-		legacyPath   string
-		legacyStatus int
-		legacyField  string // extra boolean field the legacy shape carries
 	}{
 		{
 			name: "parse error", srv: plain,
 			method: "POST", path: "/v1/cypher", body: `{"query": "NOT CYPHER"}`, contentType: "application/json",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeParseError,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusBadRequest,
 		},
 		{
 			name: "exec error", srv: plain,
 			method: "POST", path: "/v1/cypher", body: `{"query": "MATCH (a:AS {asn: $nope}) RETURN a"}`, contentType: "application/json",
 			wantStatus: http.StatusUnprocessableEntity, wantCode: api.CodeExecError,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusUnprocessableEntity,
 		},
 		{
 			name: "timeout", srv: shortTimeout,
 			method: "POST", path: "/v1/cypher", body: `{"query": "` + slowCrossJoin + `"}`, contentType: "application/json",
 			wantStatus: http.StatusGatewayTimeout, wantCode: api.CodeTimeout,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusGatewayTimeout, legacyField: "timeout",
 		},
 		{
 			name: "canceled (client gone)", srv: plain,
@@ -166,19 +163,16 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 			name: "overloaded", srv: overloaded,
 			method: "POST", path: "/v1/cypher", body: `{"query": "MATCH (c:Country) RETURN count(c)"}`, contentType: "application/json",
 			wantStatus: http.StatusTooManyRequests, wantCode: api.CodeOverloaded, retryAfter: true,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusTooManyRequests,
 		},
 		{
 			name: "draining", srv: drainSrv,
 			method: "POST", path: "/v1/ask", body: `{"question": "What is the name of AS1?"}`, contentType: "application/json",
 			wantStatus: http.StatusServiceUnavailable, wantCode: api.CodeUnavailable, retryAfter: true,
-			legacyPath: "/api/ask", legacyStatus: http.StatusServiceUnavailable,
 		},
 		{
 			name: "body too large", srv: tinyBody,
 			method: "POST", path: "/v1/cypher", body: `{"query": "` + strings.Repeat("x", 200) + `"}`, contentType: "application/json",
 			wantStatus: http.StatusRequestEntityTooLarge, wantCode: api.CodeBodyTooLarge,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusRequestEntityTooLarge,
 		},
 		{
 			name: "unknown path", srv: plain,
@@ -186,19 +180,14 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
-			// 415 is a v1-only contract: the pre-versioning endpoints never
-			// checked Content-Type, so the legacy shim attempts the decode
-			// and answers its usual 400 for the non-JSON payload.
 			name: "unsupported media type", srv: plain,
 			method: "POST", path: "/v1/cypher", body: `query=x`, contentType: "application/x-www-form-urlencoded",
 			wantStatus: http.StatusUnsupportedMediaType, wantCode: api.CodeUnsupportedMedia,
-			legacyPath: "/api/cypher", legacyStatus: http.StatusBadRequest,
 		},
 		{
 			name: "bad request", srv: plain,
 			method: "POST", path: "/v1/ask", body: `{"question": ""}`, contentType: "application/json",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeBadRequest,
-			legacyPath: "/api/ask", legacyStatus: http.StatusBadRequest,
 		},
 	}
 	for _, tc := range cases {
@@ -213,7 +202,7 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 			rec := httptest.NewRecorder()
 			tc.srv.Handler().ServeHTTP(rec, req)
 			if rec.Code != tc.wantStatus {
-				t.Fatalf("v1 status = %d body = %s, want %d", rec.Code, rec.Body.String(), tc.wantStatus)
+				t.Fatalf("status = %d body = %s, want %d", rec.Code, rec.Body.String(), tc.wantStatus)
 			}
 			detail := decodeEnvelope(t, rec.Body.Bytes())
 			if detail.Code != tc.wantCode {
@@ -234,32 +223,9 @@ func TestV1ErrorEnvelopeMatrix(t *testing.T) {
 				}
 			}
 
-			if tc.legacyStatus == 0 {
-				return
-			}
-			// The legacy shim answers its pre-versioning shape.
-			lreq := httptest.NewRequest(tc.method, tc.legacyPath, strings.NewReader(tc.body))
-			lreq.Header.Set("Content-Type", tc.contentType)
-			lrec := httptest.NewRecorder()
-			tc.srv.Handler().ServeHTTP(lrec, lreq)
-			if lrec.Code != tc.legacyStatus {
-				t.Fatalf("legacy status = %d body = %s, want %d", lrec.Code, lrec.Body.String(), tc.legacyStatus)
-			}
-			var legacy map[string]any
-			if err := json.Unmarshal(lrec.Body.Bytes(), &legacy); err != nil {
-				t.Fatalf("legacy body not JSON: %s", lrec.Body.String())
-			}
-			if msg, ok := legacy["error"].(string); !ok || msg == "" {
-				t.Errorf("legacy error not a plain string: %s", lrec.Body.String())
-			}
-			if tc.legacyField != "" && legacy[tc.legacyField] != true {
-				t.Errorf("legacy shape missing %q: %s", tc.legacyField, lrec.Body.String())
-			}
-			if lrec.Header().Get("Deprecation") != "true" {
-				t.Error("legacy response missing Deprecation header")
-			}
 		})
 	}
+	releaseHold()
 	<-slowDone
 }
 
@@ -277,20 +243,6 @@ func TestV1NotAcceptable(t *testing.T) {
 		rec := postWith(t, s.Handler(), "/v1/cypher", `{"query": "RETURN 1"}`, "application/json", accept)
 		if rec.Code != http.StatusOK {
 			t.Errorf("Accept %q: status = %d", accept, rec.Code)
-		}
-	}
-}
-
-// TestLegacyShimsIgnoreContentType: the pre-versioning endpoints never
-// checked Content-Type, so a pre-existing client posting JSON under
-// e.g. text/plain must keep working on the deprecated shims — the 415
-// contract is v1-only.
-func TestLegacyShimsIgnoreContentType(t *testing.T) {
-	s, _ := newTestServer(t)
-	for _, ct := range []string{"text/plain", "application/x-www-form-urlencoded", "application/octet-stream"} {
-		rec := postWith(t, s.Handler(), "/api/cypher", `{"query": "RETURN 1"}`, ct, "")
-		if rec.Code != http.StatusOK {
-			t.Errorf("Content-Type %q: status = %d body = %s", ct, rec.Code, rec.Body.String())
 		}
 	}
 }
@@ -460,16 +412,22 @@ func TestCatchAllRouting(t *testing.T) {
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ChatIYP") {
 		t.Errorf("index: %d", rec.Code)
 	}
-	// Typo'd paths 404 with the envelope instead of serving the index.
-	for _, path := range []string{"/api/askk", "/v1/nope", "/index.html", "/apiask"} {
+	// Typo'd paths, and the removed pre-versioning routes, 404
+	// with the envelope instead of serving the index.
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/api/askk"}, {http.MethodGet, "/v1/nope"}, {http.MethodGet, "/index.html"},
+		{http.MethodGet, "/apiask"}, {http.MethodPost, "/api/ask"}, {http.MethodPost, "/api/cypher"},
+	} {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(`{"question": "q", "query": "RETURN 1"}`))
+		req.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusNotFound {
-			t.Errorf("%s: status = %d, want 404", path, rec.Code)
+			t.Errorf("%s %s: status = %d, want 404", tc.method, tc.path, rec.Code)
 			continue
 		}
 		if detail := decodeEnvelope(t, rec.Body.Bytes()); detail.Code != api.CodeNotFound {
-			t.Errorf("%s: code = %q", path, detail.Code)
+			t.Errorf("%s %s: code = %q", tc.method, tc.path, detail.Code)
 		}
 	}
 }
@@ -678,7 +636,7 @@ func TestV1CypherPagination(t *testing.T) {
 	query := "MATCH (a:AS) RETURN a.asn ORDER BY a.asn"
 
 	// Reference: the whole result unpaginated.
-	rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: query})
+	rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query})
 	var full api.CypherResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
 		t.Fatal(err)
@@ -692,7 +650,7 @@ func TestV1CypherPagination(t *testing.T) {
 	var collected [][]any
 	cursor := ""
 	for {
-		rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: query, PageSize: 7, Cursor: cursor})
+		rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query, PageSize: 7, Cursor: cursor})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("page %d: status %d: %s", pages, rec.Code, rec.Body.String())
 		}
@@ -721,7 +679,7 @@ func TestV1CypherPagination(t *testing.T) {
 	}
 
 	// A cursor minted for one query cannot drive another.
-	rec = postJSON(t, h, "/v1/cypher", CypherRequest{Query: query + " LIMIT 9", Cursor: cursor, PageSize: 7})
+	rec = postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query + " LIMIT 9", Cursor: cursor, PageSize: 7})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("mismatched cursor: status = %d", rec.Code)
 	}
@@ -730,13 +688,13 @@ func TestV1CypherPagination(t *testing.T) {
 	}
 
 	// Garbage cursors are rejected.
-	rec = postJSON(t, h, "/v1/cypher", CypherRequest{Query: query, Cursor: "garbage", PageSize: 7})
+	rec = postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query, Cursor: "garbage", PageSize: 7})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage cursor: status = %d", rec.Code)
 	}
 
 	// A write invalidates outstanding cursors: stale_cursor, 410.
-	first := postJSON(t, h, "/v1/cypher", CypherRequest{Query: query, PageSize: 7})
+	first := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query, PageSize: 7})
 	var firstPage api.CypherResponse
 	if err := json.Unmarshal(first.Body.Bytes(), &firstPage); err != nil {
 		t.Fatal(err)
@@ -744,10 +702,10 @@ func TestV1CypherPagination(t *testing.T) {
 	if firstPage.NextCursor == "" {
 		t.Fatal("no cursor to invalidate")
 	}
-	if rec := postJSON(t, h, "/v1/cypher", CypherRequest{Query: "CREATE (x:Scratch {name: 'bump'})"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: "CREATE (x:Scratch {name: 'bump'})"}); rec.Code != http.StatusOK {
 		t.Fatalf("write failed: %s", rec.Body.String())
 	}
-	rec = postJSON(t, h, "/v1/cypher", CypherRequest{Query: query, Cursor: firstPage.NextCursor, PageSize: 7})
+	rec = postJSON(t, h, "/v1/cypher", api.CypherRequest{Query: query, Cursor: firstPage.NextCursor, PageSize: 7})
 	if rec.Code != http.StatusGone {
 		t.Fatalf("stale cursor: status = %d body = %s", rec.Code, rec.Body.String())
 	}
@@ -767,7 +725,7 @@ func TestV1PaginationRejectsWrites(t *testing.T) {
 		"CREATE (x:Scratch {name: 'paged'})",
 		"MATCH (a:AS) CREATE (l:Log {asn: a.asn}) RETURN a.asn",
 	} {
-		rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{Query: q, PageSize: 5})
+		rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{Query: q, PageSize: 5})
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%q: status = %d body = %s, want 400", q, rec.Code, rec.Body.String())
 			continue
@@ -780,7 +738,7 @@ func TestV1PaginationRejectsWrites(t *testing.T) {
 		t.Errorf("graph version moved %d -> %d: a rejected paginated write still executed", before, after)
 	}
 	// The same write without pagination still works.
-	if rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{Query: "CREATE (x:Scratch {name: 'plain'})"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{Query: "CREATE (x:Scratch {name: 'plain'})"}); rec.Code != http.StatusOK {
 		t.Errorf("unpaginated write: status = %d body = %s", rec.Code, rec.Body.String())
 	}
 }
@@ -797,7 +755,7 @@ func TestV1PaginationBoundedByServerRowCap(t *testing.T) {
 		if pages > 10 {
 			t.Fatal("pagination did not terminate under the row cap")
 		}
-		rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{
+		rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{
 			Query: "UNWIND range(1, 100) AS x RETURN x", PageSize: 4, Cursor: cursor,
 		})
 		if rec.Code != http.StatusOK {
@@ -843,7 +801,7 @@ func TestV1PaginationSurfacesEngineTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := postJSON(t, s.Handler(), "/v1/cypher", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/cypher", api.CypherRequest{
 		Query: "MATCH (a:AS) RETURN a.asn ORDER BY a.asn", PageSize: 10,
 	})
 	if rec.Code != http.StatusOK {
@@ -931,7 +889,7 @@ func TestV1AskNDJSON(t *testing.T) {
 
 func TestV1ExplainEndpoint(t *testing.T) {
 	s, w := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/v1/explain", CypherRequest{
+	rec := postJSON(t, s.Handler(), "/v1/explain", api.CypherRequest{
 		Query: fmt.Sprintf("MATCH (a:AS {asn: %d}) RETURN a.asn", w.ASes[0].ASN),
 	})
 	if rec.Code != http.StatusOK {
@@ -944,7 +902,7 @@ func TestV1ExplainEndpoint(t *testing.T) {
 	if !strings.Contains(resp.Plan, "property index (AS, asn)") {
 		t.Errorf("plan = %q", resp.Plan)
 	}
-	rec = postJSON(t, s.Handler(), "/v1/explain", CypherRequest{Query: "BROKEN"})
+	rec = postJSON(t, s.Handler(), "/v1/explain", api.CypherRequest{Query: "BROKEN"})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("broken query status = %d", rec.Code)
 	}
@@ -957,14 +915,14 @@ func TestPerRouteMetrics(t *testing.T) {
 	s := newCustomServer(t, nil)
 	h := s.Handler()
 	postWith(t, h, "/v1/cypher", `{"query": "RETURN 1"}`, "application/json", "")
-	postWith(t, h, "/api/cypher", `{"query": "RETURN 1"}`, "application/json", "")
+	postWith(t, h, "/v1/explain", `{"query": "RETURN 1"}`, "application/json", "")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nope", nil))
 
 	snap := s.reg.Snapshot()
 	for _, name := range []string{
 		"server.requests{route=POST /v1/cypher,status=200}",
-		"server.requests{route=POST /api/cypher,status=200}",
+		"server.requests{route=POST /v1/explain,status=200}",
 		"server.requests{route=/,status=404}",
 		"server.latency{route=POST /v1/cypher}.count",
 		"server.latency{route=POST /v1/cypher}.sum_us",
@@ -972,28 +930,6 @@ func TestPerRouteMetrics(t *testing.T) {
 	} {
 		if snap[name] < 1 {
 			t.Errorf("%s = %d, want >= 1 (snapshot: %v)", name, snap[name], snap)
-		}
-	}
-}
-
-// TestLegacyResponsesByteCompatible pins the legacy success shapes: the
-// exact JSON keys (and their order) the pre-v1 endpoints produced.
-func TestLegacyResponsesByteCompatible(t *testing.T) {
-	s, _ := newTestServer(t)
-	rec := postJSON(t, s.Handler(), "/api/cypher", CypherRequest{Query: "MATCH (c:Country) RETURN count(c) LIMIT 1"})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	body := rec.Body.String()
-	// Key order is struct-field order: columns, rows, stats, truncated —
-	// and stats uses the engine's Go field names, not snake_case.
-	wantPrefix := `{"columns":["count(c)"],"rows":[[`
-	if !strings.HasPrefix(body, wantPrefix) {
-		t.Errorf("legacy /api/cypher body = %q, want prefix %q", body, wantPrefix)
-	}
-	for _, key := range []string{`"stats":{"NodesCreated":0`, `"truncated":false`} {
-		if !strings.Contains(body, key) {
-			t.Errorf("legacy body missing %q: %s", key, body)
 		}
 	}
 }
